@@ -10,10 +10,14 @@ Sign conventions used throughout the package (all homological):
 * T = the signed swap on two factors, T(x (x) y) = (-1)^{deg x deg y} y (x) x.
 
 Operators K -> L^{(x) n} are stored blockwise: one integer matrix per source
-degree, written in the induced tensor basis of the target power.  Tensor
-bases are enumerated in lexicographic order of ((degree, index), ...) tuples
-and the enumeration is cached on the target complex, so row indices are
-stable and equality of operators is literal equality of sparse matrices.
+degree, written in the induced tensor basis of the target power.  A basis
+word of L^{(x) n} is a tuple of (degree, index) factors, and the words of
+one total degree are ordered lexicographically.  Only ``tensor_complex``
+lists a tensor basis: elsewhere a word's row is computed from the rank
+counts of L by a closed rank/unrank formula, and the differential and the
+slot operators are applied word by word to the nonzero entries only.  Row
+numbers are stable, so equality of operators is literal equality of sparse
+matrices.
 """
 from __future__ import annotations
 
@@ -35,8 +39,14 @@ class ChainComplex:
             if mat.is_zero():
                 continue
             self.boundary[d] = mat
-        self._tensor_cache: dict[tuple[int, int], list[TensorKey]] = {}
-        self._tensor_index_cache: dict[tuple[int, int], dict[TensorKey, int]] = {}
+        # column index of the boundary: (degree, index) -> [(row, coeff)]
+        self._faces: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for d, mat in self.boundary.items():
+            for (r, c), v in mat.data.items():
+                self._faces.setdefault((d, c), []).append((r, v))
+        # _powers[n][t] = rank of (C^{(x) n})_t; the rank polynomial's powers
+        self._powers: list[dict[int, int]] = [{0: 1}]
+        self._step_cache: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
         if check:
             self.validate()
 
@@ -72,57 +82,80 @@ class ChainComplex:
 
     # -- tensor power bookkeeping -------------------------------------------
 
-    def tensor_basis(self, n: int, total_degree: int) -> list[TensorKey]:
-        """Basis of (C^{(x) n})_total_degree as tuples of (degree, index)."""
-        key = (n, total_degree)
-        cached = self._tensor_cache.get(key)
-        if cached is not None:
-            return cached
-        if n == 0:
-            out = [()] if total_degree == 0 else []
-        else:
-            out = []
-            degs = self.degrees()
-            for d in degs:
-                r = self.rank(d)
-                for rest in self.tensor_basis(n - 1, total_degree - d):
-                    for i in range(r):
-                        out.append(((d, i),) + rest)
-            # lexicographic in ((deg, idx), ...) with the recursion above
-            out.sort()
-        self._tensor_cache[key] = out
-        return out
-
-    def tensor_index(self, n: int, total_degree: int) -> dict[TensorKey, int]:
-        key = (n, total_degree)
-        cached = self._tensor_index_cache.get(key)
-        if cached is None:
-            cached = {t: i for i, t in enumerate(self.tensor_basis(n, total_degree))}
-            self._tensor_index_cache[key] = cached
-        return cached
-
     def tensor_rank(self, n: int, total_degree: int) -> int:
-        return len(self.tensor_basis(n, total_degree))
+        """Rank of (C^{(x) n})_total_degree."""
+        if n < 0:
+            raise ValueError("tensor arity must be nonnegative")
+        powers = self._powers
+        while len(powers) <= n:
+            nxt: dict[int, int] = {}
+            for t, count in powers[-1].items():
+                for d, labels in self.basis.items():
+                    nxt[t + d] = nxt.get(t + d, 0) + count * len(labels)
+            powers.append(nxt)
+        return powers[n].get(total_degree, 0)
 
-    def tensor_boundary(self, n: int, total_degree: int) -> IntMatrix:
-        """Matrix of the tensor differential (C^n)_D -> (C^n)_{D-1}."""
-        src = self.tensor_basis(n, total_degree)
-        dst_index = self.tensor_index(n, total_degree - 1)
-        out = IntMatrix(len(dst_index), len(src))
-        for col, word in enumerate(src):
-            sign = 1
-            for slot, (d, i) in enumerate(word):
-                mat = self.boundary.get(d)
-                if mat is not None:
-                    for (r, c), v in mat.data.items():
-                        if c != i or not v:
-                            continue
-                        new = word[:slot] + (((d - 1), r),) + word[slot + 1:]
-                        row = dst_index[new]
-                        out[row, col] = out[row, col] + sign * v
-                d_parity = d & 1
-                if d_parity:
-                    sign = -sign
+    def _steps(self, left: int, rest: int) -> dict[int, tuple[int, int]]:
+        """Row bookkeeping for one slot followed by ``left`` more factors,
+        with ``rest`` degrees still to place: factor degree d -> (number of
+        words whose factor here has a smaller degree, words per basis
+        element of degree d)."""
+        steps = self._step_cache.get((left, rest))
+        if steps is None:
+            steps = {}
+            offset = 0
+            for d in self.degrees():
+                tail = self.tensor_rank(left, rest - d)
+                steps[d] = (offset, tail)
+                offset += self.rank(d) * tail
+            self._step_cache[(left, rest)] = steps
+        return steps
+
+    def word_row(self, n: int, total_degree: int, word: TensorKey) -> int:
+        """Row of a basis word in (C^{(x) n})_total_degree.
+
+        The words are in lexicographic order, so the row adds up, slot by
+        slot, the words that agree with ``word`` before the slot and have a
+        smaller factor in it.  A malformed word raises ValueError.
+        """
+        if len(word) != n:
+            raise ValueError(f"word {word!r} does not have {n} factors")
+        row = 0
+        rest = total_degree
+        for slot, (d, i) in enumerate(word):
+            if not 0 <= i < self.rank(d):
+                raise ValueError(f"word {word!r}: no basis element {i} in degree {d}")
+            offset, tail = self._steps(n - slot - 1, rest)[d]
+            row += offset + i * tail
+            rest -= d
+        if rest:
+            raise ValueError(f"word {word!r} does not have total degree {total_degree}")
+        return row
+
+    def row_word(self, n: int, total_degree: int, row: int) -> TensorKey:
+        """The basis word at ``row`` of (C^{(x) n})_total_degree."""
+        if not 0 <= row < self.tensor_rank(n, total_degree):
+            raise ValueError(f"row {row} out of range for C^{n} in degree {total_degree}")
+        word = []
+        rest = total_degree
+        for slot in range(n):
+            for d, (offset, tail) in self._steps(n - slot - 1, rest).items():
+                if row < offset + self.rank(d) * tail:
+                    i, row = divmod(row - offset, tail)
+                    word.append((d, i))
+                    rest -= d
+                    break
+        return tuple(word)
+
+    def word_boundary(self, word: TensorKey) -> list[tuple[int, TensorKey]]:
+        """The tensor differential of one basis word, as (coeff, word) terms."""
+        out = []
+        sign = 1
+        for slot, (d, i) in enumerate(word):
+            for r, v in self._faces.get((d, i), ()):
+                out.append((sign * v, word[:slot] + ((d - 1, r),) + word[slot + 1:]))
+            if d & 1:
+                sign = -sign
         return out
 
     def __repr__(self):
@@ -144,20 +177,21 @@ def tensor_complex(c: ChainComplex, n: int) -> ChainComplex:
     degs = c.degrees()
     if n == 0 or not degs:
         return unit_complex() if n == 0 else ChainComplex({}, {})
-    lo, hi = n * degs[0], n * degs[-1]
     basis = {}
-    for total in range(lo, hi + 1):
-        words = c.tensor_basis(n, total)
-        if words:
-            basis[total] = tuple(
-                tuple(c.labels(d)[i] for (d, i) in word) for word in words
-            )
     boundary = {}
-    for total in range(lo, hi + 1):
-        if basis.get(total):
-            mat = c.tensor_boundary(n, total)
-            if not mat.is_zero():
-                boundary[total] = mat
+    for total in range(n * degs[0], n * degs[-1] + 1):
+        words = [c.row_word(n, total, r) for r in range(c.tensor_rank(n, total))]
+        if not words:
+            continue
+        basis[total] = tuple(tuple(c.labels(d)[i] for (d, i) in word) for word in words)
+        data: dict[tuple[int, int], int] = {}
+        for col, word in enumerate(words):
+            for v, face in c.word_boundary(word):
+                key = (c.word_row(n, total - 1, face), col)
+                data[key] = data.get(key, 0) + v
+        mat = IntMatrix(c.tensor_rank(n, total - 1), len(words), data)
+        if not mat.is_zero():
+            boundary[total] = mat
     return ChainComplex(basis, boundary)
 
 
@@ -175,7 +209,7 @@ def perm_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
 class GradedOperator:
     """Degree-homogeneous operator source -> target^{(x) arity}."""
 
-    __slots__ = ("source", "target", "arity", "degree", "blocks")
+    __slots__ = ("source", "target", "arity", "degree", "blocks", "_images")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, arity: int,
                  degree: int, blocks: dict[int, IntMatrix] | None = None):
@@ -184,6 +218,7 @@ class GradedOperator:
         self.arity = arity
         self.degree = degree
         self.blocks = {}
+        self._images: dict[int, dict[int, list[tuple[int, TensorKey]]]] = {}
         if blocks:
             for d, mat in blocks.items():
                 expected = (target.tensor_rank(arity, d + degree), source.rank(d))
@@ -237,18 +272,26 @@ class GradedOperator:
         return GradedOperator(self.source, self.target, self.arity, self.degree,
                               {d: m.scale(c) for d, m in self.blocks.items()})
 
+    def images(self, d: int) -> dict[int, list[tuple[int, TensorKey]]]:
+        """Column index of block d: source index -> its image_of expansion.
+
+        Built once per block; blocks are not modified after construction.
+        """
+        cols = self._images.get(d)
+        if cols is None:
+            cols = {}
+            mat = self.blocks.get(d)
+            if mat is not None:
+                t = d + self.degree
+                for (r, c), v in sorted(mat.data.items()):
+                    cols.setdefault(c, []).append(
+                        (v, self.target.row_word(self.arity, t, r)))
+            self._images[d] = cols
+        return cols
+
     def image_of(self, d: int, idx: int) -> list[tuple[int, TensorKey]]:
-        """Expansion of the image of one source basis element."""
-        out = []
-        mat = self.blocks.get(d)
-        if mat is None:
-            return out
-        words = self.target.tensor_basis(self.arity, d + self.degree)
-        for (r, c), v in mat.data.items():
-            if c == idx:
-                out.append((v, words[r]))
-        out.sort(key=lambda t: t[1])
-        return out
+        """Expansion of the image of one source basis element, in word order."""
+        return list(self.images(d).get(idx, ()))
 
     def __repr__(self):
         return (f"GradedOperator(arity={self.arity}, degree={self.degree}, "
@@ -274,15 +317,22 @@ def bracket_d(f: GradedOperator) -> GradedOperator:
     """[d, f] = d_target o f - (-1)^{deg f} f o d_source."""
     out: dict[int, IntMatrix] = {}
     sign = -1 if f.degree & 1 else 1
+    tgt = f.target
     src_degrees = set(f.blocks)
     src_degrees.update(d + 1 for d in f.blocks)
     src_degrees.update(f.source.boundary.keys())
     for d in src_degrees:
         if f.source.rank(d) == 0:
             continue
-        left = f.target.tensor_boundary(f.arity, d + f.degree) @ f.block(d)
+        t = d + f.degree
+        left: dict[tuple[int, int], int] = {}
+        for col, img in f.images(d).items():
+            for v, word in img:
+                for s, face in tgt.word_boundary(word):
+                    key = (tgt.word_row(f.arity, t - 1, face), col)
+                    left[key] = left.get(key, 0) + s * v
         right = f.block(d - 1) @ f.source.boundary_matrix(d)
-        mat = left - right.scale(sign)
+        mat = IntMatrix(right.nrows, right.ncols, left) - right.scale(sign)
         if not mat.is_zero():
             out[d] = mat
     return GradedOperator(f.source, f.target, f.arity, f.degree - 1, out)
@@ -328,38 +378,34 @@ def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOp
     out_arity = sum(op.arity for op in ops)
     out_degree = b.degree + sum(op.degree for op in ops)
     blocks: dict[int, IntMatrix] = {}
-    for d, bmat in b.blocks.items():
-        src_words = b.target.tensor_basis(n, d + b.degree)
-        dst_index = tgt.tensor_index(out_arity, d + out_degree)
-        acc = IntMatrix(len(dst_index), b.source.rank(d))
-        for (r, col), coeff in bmat.data.items():
-            word = src_words[r]
-            # moving op_j past the earlier inputs costs their degrees
-            base_sign = 1
-            running = 0
-            pieces: list[list[tuple[int, TensorKey]]] = []
-            dead = False
-            for slot, (e, i) in enumerate(word):
-                op = ops[slot]
-                if (op.degree & 1) and (running & 1):
-                    base_sign = -base_sign
-                running += e
-                img = op.image_of(e, i)
-                if not img:
-                    dead = True
-                    break
-                pieces.append(img)
-            if dead:
-                continue
-            stack = [(1, ())]
-            for img in pieces:
-                stack = [(s * v, w + frag) for (s, w) in stack for (v, frag) in img]
-            for s, w in stack:
-                row = dst_index[w]
-                val = acc[row, col] + base_sign * s * coeff
-                acc[row, col] = val
-        if not acc.is_zero():
-            blocks[d] = acc
+    for d in b.blocks:
+        t = d + out_degree
+        acc: dict[tuple[int, int], int] = {}
+        for col, img in b.images(d).items():
+            for coeff, word in img:
+                # moving op_j past the earlier inputs costs their degrees
+                base_sign = 1
+                running = 0
+                pieces: list[list[tuple[int, TensorKey]]] = []
+                for slot, (e, i) in enumerate(word):
+                    op = ops[slot]
+                    if (op.degree & 1) and (running & 1):
+                        base_sign = -base_sign
+                    running += e
+                    piece = op.images(e).get(i)
+                    if not piece:
+                        break
+                    pieces.append(piece)
+                else:
+                    stack = [(base_sign * coeff, ())]
+                    for piece in pieces:
+                        stack = [(s * v, w + frag) for (s, w) in stack for (v, frag) in piece]
+                    for s, w in stack:
+                        key = (tgt.word_row(out_arity, t, w), col)
+                        acc[key] = acc.get(key, 0) + s
+        mat = IntMatrix(tgt.tensor_rank(out_arity, t), b.source.rank(d), acc)
+        if not mat.is_zero():
+            blocks[d] = mat
     return GradedOperator(b.source, tgt, out_arity, out_degree, blocks)
 
 
@@ -386,17 +432,17 @@ def sigma_twist(perm: Sequence[int], f: GradedOperator) -> GradedOperator:
         raise ValueError("permutation length must match arity")
     blocks = {}
     for d, mat in f.blocks.items():
-        words = f.target.tensor_basis(f.arity, d + f.degree)
-        index = f.target.tensor_index(f.arity, d + f.degree)
-        out = IntMatrix(len(words), mat.ncols)
-        for (r, c), v in mat.data.items():
-            word = words[r]
-            new = [None] * f.arity
-            for p, fac in enumerate(word):
-                new[perm[p]] = fac
-            sign = perm_sign(perm, [fac[0] for fac in word])
-            row = index[tuple(new)]
-            out[row, c] = out[row, c] + sign * v
+        t = d + f.degree
+        data: dict[tuple[int, int], int] = {}
+        for c, img in f.images(d).items():
+            for v, word in img:
+                new = [None] * f.arity
+                for p, fac in enumerate(word):
+                    new[perm[p]] = fac
+                sign = perm_sign(perm, [fac[0] for fac in word])
+                key = (f.target.word_row(f.arity, t, tuple(new)), c)
+                data[key] = data.get(key, 0) + sign * v
+        out = IntMatrix(mat.nrows, mat.ncols, data)
         if not out.is_zero():
             blocks[d] = out
     return GradedOperator(f.source, f.target, f.arity, f.degree, blocks)

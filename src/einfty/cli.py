@@ -16,7 +16,7 @@ from . import __version__
 from .chains import bracket_d, compose_slot, transpose_swap
 from .cobar import build_cobar, check_d_squared_cobar, gr_h0_ranks
 from .coalgebra import chain_structure, operator_dump, reduce_structure
-from .errors import EinftyError
+from .errors import BadFlag, EinftyError
 from .formats import (COALG_FIXTURES, SSET_FIXTURES, fixture_path,
                       list_fixtures, load_structure_fixture)
 from .homology import build_sdr, homology, sdr_variant
@@ -219,6 +219,25 @@ def cmd_selfcheck(args) -> dict:
     return {"seed": args.seed, "all_ok": ok, "checks": checks}
 
 
+# commands that transfer the structure to homology, which needs m2_0..m2_2
+_TRANSFER_COMMANDS = ("transfer", "invariant", "compare", "selfcheck")
+
+
+def _check_flags(args) -> None:
+    max_cup = getattr(args, "max_cup", None)
+    if max_cup is not None:
+        if args.command in _TRANSFER_COMMANDS:
+            if max_cup < 2:
+                raise BadFlag("--max-cup", max_cup, 2,
+                              "the transfer needs the cup coproducts up to m2_2")
+        elif max_cup < 0:
+            raise BadFlag("--max-cup", max_cup, 0, "cup indices are nonnegative")
+    max_len = getattr(args, "max_len", None)
+    if max_len is not None and max_len < 1:
+        raise BadFlag("--max-len", max_len, 1,
+                      "word lengths below it are reported, length 0 included")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="einfty",
@@ -284,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         results = args.fn(args)
     except EinftyError as exc:
         payload = {"command": args.command, "ok": False, "error": exc.payload()}

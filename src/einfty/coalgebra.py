@@ -24,8 +24,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .chains import (ChainComplex, GradedOperator, bracket_d, identity_operator,
-                     sigma_twist, tensor_compose, unit_complex, zero_operator)
+from .chains import (ChainComplex, GradedOperator, TensorKey, bracket_d,
+                     identity_operator, sigma_twist, tensor_compose, unit_complex,
+                     zero_operator)
 from .errors import MultipleVertices, RelationViolation
 from .intlinalg import IntMatrix, solve
 from .operads import generator, generator_differential
@@ -63,21 +64,23 @@ def _standard_chain(n: int) -> ChainComplex:
     return normalized_chains(standard_simplex(n))
 
 
+@lru_cache(maxsize=None)
 def _subset_index(n: int, d: int) -> dict[tuple[int, ...], int]:
     names = standard_simplex(n).names(d)
     return {tuple(int(ch) for ch in name): i for i, name in enumerate(names)}
 
 
+def _pair_word(n: int, s1: tuple[int, ...], s2: tuple[int, ...]) -> TensorKey:
+    """The tensor word of the face pair (S1, S2) of the standard n-simplex."""
+    d1, d2 = len(s1) - 1, len(s2) - 1
+    return ((d1, _subset_index(n, d1)[s1]), (d2, _subset_index(n, d2)[s2]))
+
+
 def _pair_vector(c: ChainComplex, n: int, total: int,
                  terms: list[CutTerm]) -> IntMatrix:
-    index = c.tensor_index(2, total)
-    vec = IntMatrix(len(index), 1)
+    vec = IntMatrix(c.tensor_rank(2, total), 1)
     for coeff, s1, s2 in terms:
-        d1, d2 = len(s1) - 1, len(s2) - 1
-        i1 = _subset_index(n, d1)[s1]
-        i2 = _subset_index(n, d2)[s2]
-        key = ((d1, i1), (d2, i2))
-        row = index[key]
+        row = c.word_row(2, total, _pair_word(n, s1, s2))
         vec[row, 0] = vec[row, 0] + coeff
     return vec
 
@@ -113,17 +116,11 @@ def cup_table(k: int, n: int) -> tuple[CutTerm, ...]:
         lower = lower + contrib.scale(-1 if i % 2 else 1)
     rhs = rk - lower.scale(-1 if (k - 1) % 2 else 1)
     # unknown coefficients on candidate pairs; columns = d_tensor(pair)
-    index_rows = c.tensor_index(2, n + k - 1)
-    dmat = c.tensor_boundary(2, n + k)
-    cols = IntMatrix(len(index_rows), len(pairs))
-    pair_index = c.tensor_index(2, n + k)
+    cols = IntMatrix(c.tensor_rank(2, n + k - 1), len(pairs))
     for j, (s1, s2) in enumerate(pairs):
-        d1, d2 = len(s1) - 1, len(s2) - 1
-        key = ((d1, _subset_index(n, d1)[s1]), (d2, _subset_index(n, d2)[s2]))
-        col = pair_index[key]
-        for (r, cc), v in dmat.data.items():
-            if cc == col:
-                cols[r, j] = v
+        for v, face in c.word_boundary(_pair_word(n, s1, s2)):
+            row = c.word_row(2, n + k - 1, face)
+            cols[row, j] = cols[row, j] + v
     sol = solve(cols, rhs)
     if sol is None:
         raise RelationViolation(f"cup-{k} ladder",
@@ -164,8 +161,7 @@ def _table_operator(x: SimplicialSet, c: ChainComplex, k: int) -> GradedOperator
         table = cup_table(k, d)
         if not table:
             continue
-        index = c.tensor_index(2, d + k)
-        mat = IntMatrix(len(index), c.rank(d))
+        mat = IntMatrix(c.tensor_rank(2, d + k), c.rank(d))
         for col, name in enumerate(x.names(d)):
             for coeff, s1, s2 in table:
                 cell1 = x.face_on_vertices(name, s1)
@@ -175,8 +171,8 @@ def _table_operator(x: SimplicialSet, c: ChainComplex, k: int) -> GradedOperator
                 if cell2[0]:
                     continue
                 d1, d2 = len(s1) - 1, len(s2) - 1
-                key = ((d1, x.index_of(cell1[1])), (d2, x.index_of(cell2[1])))
-                row = index[key]
+                word = ((d1, x.index_of(cell1[1])), (d2, x.index_of(cell2[1])))
+                row = c.word_row(2, d + k, word)
                 mat[row, col] = mat[row, col] + coeff
         if not mat.is_zero():
             blocks[d] = mat
@@ -331,14 +327,13 @@ def reduce_structure(s: CoalgebraStructure) -> CoalgebraStructure:
         for d, mat in op.blocks.items():
             if d < 1:
                 continue
-            words = c.tensor_basis(op.arity, d + op.degree)
-            red_index = red.tensor_index(op.arity, d + op.degree)
-            out = IntMatrix(len(red_index), red.rank(d))
-            for (r, col), v in mat.data.items():
-                word = words[r]
-                if any(e == 0 for (e, _) in word):
-                    continue
-                out[red_index[word], col] = v
+            t = d + op.degree
+            out = IntMatrix(red.tensor_rank(op.arity, t), red.rank(d))
+            for col, img in op.images(d).items():
+                for v, word in img:
+                    if any(e == 0 for (e, _) in word):
+                        continue
+                    out[red.word_row(op.arity, t, word), col] = v
             if not out.is_zero():
                 blocks[d] = out
         ops[name] = GradedOperator(red, red, op.arity, op.degree, blocks)
@@ -353,7 +348,6 @@ def operator_dump(s: CoalgebraStructure) -> dict:
         op = s.ops[name]
         entries = {}
         for d in c.degrees():
-            words = c.tensor_basis(op.arity, d + op.degree)
             for idx, label in enumerate(c.labels(d)):
                 img = op.image_of(d, idx)
                 if not img:

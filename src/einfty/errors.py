@@ -90,6 +90,19 @@ class NotNormalizable(EinftyError):
         return out
 
 
+class BadFlag(EinftyError):
+    def __init__(self, flag: str, value: int, minimum: int, reason: str):
+        self.flag = flag
+        self.value = value
+        self.minimum = minimum
+        super().__init__(f"{flag} {value} is below {minimum}: {reason}")
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out.update(flag=self.flag, value=self.value, minimum=self.minimum)
+        return out
+
+
 class GroupMismatch(EinftyError):
     pass
 

@@ -162,13 +162,6 @@ class IntMatrix:
                 col[i] = v
         return col
 
-    def row(self, i: int) -> list[int]:
-        r = [0] * self.ncols
-        for (ii, j), v in self.data.items():
-            if ii == i:
-                r[j] = v
-        return r
-
     def columns(self) -> list[list[int]]:
         cols = [[0] * self.nrows for _ in range(self.ncols)]
         for (i, j), v in self.data.items():
@@ -469,17 +462,6 @@ def in_column_span(m: IntMatrix, vec: Sequence[int]) -> bool:
     return solve(m, column_vector(list(vec))) is not None
 
 
-def coordinates_in_basis(basis: IntMatrix, m: IntMatrix) -> IntMatrix:
-    """Express the columns of ``m`` in terms of the columns of ``basis``.
-
-    Raises ValueError when some column is not an integer combination.
-    """
-    x = solve(basis, m)
-    if x is None:
-        raise ValueError("vector outside the given lattice basis")
-    return x
-
-
 def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> tuple[int, list[int]]:
     """Structure of Z^ambient_rank / col-span(relations).
 
@@ -495,9 +477,3 @@ def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> tuple[int, l
     facs = smith(relations).invariant_factors()
     torsion = [f for f in facs if f >= 2]
     return ambient_rank - len(facs), torsion
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    if m.nrows != m.ncols:
-        return False
-    return all(f == 1 for f in smith(m).invariant_factors()) and smith(m).rank == m.nrows

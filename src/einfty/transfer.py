@@ -45,11 +45,6 @@ class TransferPackage:
     def homology(self) -> ChainComplex:
         return self.sdr.retract
 
-    def hat_structure(self) -> CoalgebraStructure:
-        """The homology-level structure alone (no counit in scope)."""
-        return CoalgebraStructure(self.homology, self.hat_ops, reduced=True,
-                                  max_k=2, check=False)
-
 
 def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
     """Build the homology-level structure and the connecting morphism data."""
@@ -149,7 +144,6 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
         cols = cols.hstack(IntMatrix.from_columns([s], nrows=m ** 3))
     nu_entries: dict[tuple[int, int], int] = {}
     needed = False
-    words3 = hat["m3_1"].target.tensor_basis(3, 3)
     for s in range(r):
         mu = [0] * (m ** 3)
         for coeff, word in hat["m3_1"].image_of(2, s):
@@ -178,14 +172,14 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
     if not needed or not nu_entries:
         return None
     h = hat["m2_0"].source
-    index = h.tensor_index(2, 3)
-    block = IntMatrix(len(index), h.rank(2))
+    block = IntMatrix(h.tensor_rank(2, 3), h.rank(2))
     for (kind, s, u, a), val in nu_entries.items():
         if kind == "sx":
             word = ((2, u), (1, a))
         else:
             word = ((1, a), (2, u))
-        block[index[word], s] = block[index[word], s] + val
+        row = h.word_row(2, 3, word)
+        block[row, s] = block[row, s] + val
     return GradedOperator(h, h, 2, 1, {2: block})
 
 
@@ -239,13 +233,12 @@ class StructureComparison:
 
 
 def _swap_matrix(h_cx: ChainComplex, total: int) -> IntMatrix:
-    words = h_cx.tensor_basis(2, total)
-    index = h_cx.tensor_index(2, total)
-    out = IntMatrix(len(words), len(words))
-    for col, ((e1, i1), (e2, i2)) in enumerate(words):
+    rank = h_cx.tensor_rank(2, total)
+    out = IntMatrix(rank, rank)
+    for col in range(rank):
+        (e1, i1), (e2, i2) = h_cx.row_word(2, total, col)
         sign = -1 if (e1 % 2) and (e2 % 2) else 1
-        row = index[((e2, i2), (e1, i1))]
-        out[row, col] = sign
+        out[h_cx.word_row(2, total, ((e2, i2), (e1, i1))), col] = sign
     return out
 
 

@@ -120,3 +120,21 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["homology"]["1"]["rank"] == 1
+
+
+@pytest.mark.parametrize("argv,flag,minimum", [
+    (("invariant", "torus", "--max-cup", "0"), "--max-cup", 2),
+    (("invariant", "torus", "--max-cup", "1"), "--max-cup", 2),
+    (("transfer", "torus", "--max-cup", "0"), "--max-cup", 2),
+    (("transfer", "torus", "--max-cup", "1"), "--max-cup", 2),
+    (("compare", "torus", "circle", "--max-cup", "0"), "--max-cup", 2),
+    (("compare", "torus", "circle", "--max-cup", "1"), "--max-cup", 2),
+    (("cobar", "torus", "--max-len", "0"), "--max-len", 1),
+    (("coalgebra", "circle", "--max-cup", "-1"), "--max-cup", 0),
+])
+def test_cli_rejects_bad_flags(argv, flag, minimum):
+    _, err = run_cli(*argv, expect=1)
+    error = json.loads(err)["error"]
+    assert error["error"] == "BadFlag"
+    assert (error["flag"], error["minimum"]) == (flag, minimum)
+    assert error["value"] == int(argv[-1])

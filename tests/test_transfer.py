@@ -72,11 +72,11 @@ def test_defective_package_is_reported():
     hat = dict(pkg.hat_ops)
     bad = hat["m3_1"]
     h = pkg.homology
-    idx = h.tensor_index(3, 3)
     block = bad.block(2).copy()
     # a cocommutative perturbation violating the arity-3 bracket relation
     word = ((1, 0), (1, 0), (1, 0))
-    block[idx[word], 0] = block[idx[word], 0] + 1
+    row = h.word_row(3, 3, word)
+    block[row, 0] = block[row, 0] + 1
     hat["m3_1"] = GradedOperator(h, h, 3, 1, {**bad.blocks, 2: block})
     broken = TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops)
     bad_rel = verify_relations(broken)
@@ -123,12 +123,13 @@ def test_compare_rejects_incompatible():
     hat = dict(pkg.hat_ops)
     m0 = hat["m2_0"]
     h = pkg.homology
-    idx = h.tensor_index(2, 2)
     block = m0.block(2).copy()
     word = ((1, 0), (1, 1))
-    block[idx[word], 0] = block[idx[word], 0] + 2
+    row = h.word_row(2, 2, word)
+    block[row, 0] = block[row, 0] + 2
     swapped = ((1, 1), (1, 0))
-    block[idx[swapped], 0] = block[idx[swapped], 0] - 2
+    row = h.word_row(2, 2, swapped)
+    block[row, 0] = block[row, 0] - 2
     hat["m2_0"] = GradedOperator(h, h, 2, 0, {**m0.blocks, 2: block})
     tampered = TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops)
     with pytest.raises(ShapeMismatch):
@@ -140,13 +141,13 @@ def test_unsolvable_difference_reported():
     hat = dict(pkg.hat_ops)
     m1 = hat["m2_1"]
     h = pkg.homology
-    idx = h.tensor_index(2, 2)
     # a symmetric-with-sign change is never of the form (1 - sigma) w:
     # (1 - sigma) lands in the odd-antisymmetric part, so perturb by the
     # invariant diagonal direction instead
     block = m1.block(1).copy()
     word = ((1, 0), (1, 0))
-    block[idx[word], 0] = block[idx[word], 0] + 1
+    row = h.word_row(2, 2, word)
+    block[row, 0] = block[row, 0] + 1
     hat["m2_1"] = GradedOperator(h, h, 2, 1, {**m1.blocks, 1: block})
     q = TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops)
     cmp = compare_structures(pkg, q)
