@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .coalgebra import CoalgebraStructure
 from .errors import MultipleVertices
-from .intlinalg import IntMatrix, kernel_basis, smith
+from .intlinalg import IntMatrix, kernel_basis, quotient_invariants
 
 Letter = tuple[int, int]  # (shifted degree, index within that layer)
 
@@ -189,9 +189,7 @@ def gr_h0_ranks(t: TruncatedCobar) -> list[dict]:
             s_prev = comp[length - 1]
             if s_prev.ncols:
                 gens = gens.hstack(lift @ s_prev)
-        sf = smith(gens)
-        free = ambient - sf.rank
-        torsion = [f for f in sf.invariant_factors() if f >= 2]
+        free, torsion = quotient_invariants(ambient, gens)
         out.append({"length": length, "rank": free, "torsion": torsion})
     return out
 

@@ -51,7 +51,16 @@ def list_fixtures() -> list[str]:
 
 
 class CoalgParseError(EinftyError):
-    pass
+    """A malformed ``.coalg`` file; ``field`` names the offending key."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out["field"] = self.field
+        return out
 
 
 def load_structure_fixture(path: str | Path) -> InvariantWindow:
@@ -61,15 +70,15 @@ def load_structure_fixture(path: str | Path) -> InvariantWindow:
     except json.JSONDecodeError as exc:
         raise CoalgParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != "einfty-coalg":
-        raise CoalgParseError("missing 'format': 'einfty-coalg' marker")
+        raise CoalgParseError("missing 'format': 'einfty-coalg' marker", "format")
     try:
-        m = int(data["h1_rank"])
-        r = int(data["h2_rank"])
+        m = _rank(data["h1_rank"], "h1_rank")
+        r = _rank(data["h2_rank"], "h2_rank")
         comul = _block(data["comul"], r, m * m, "comul")
         sq = _block(data["sq"], m, m * m, "sq")
         triple = _block(data["triple"], r, m ** 3, "triple")
     except KeyError as exc:
-        raise CoalgParseError(f"missing field {exc}") from exc
+        raise CoalgParseError(f"missing field {exc}", exc.args[0]) from exc
     window = InvariantWindow(m, r, comul, sq, triple)
     bad = window.validate()
     if bad:
@@ -77,13 +86,24 @@ def load_structure_fixture(path: str | Path) -> InvariantWindow:
     return window
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rank(v, label: str) -> int:
+    if not _is_int(v) or v < 0:
+        raise CoalgParseError(f"{label}: expected a nonnegative integer, got {v!r}", label)
+    return v
+
+
 def _block(rows, expected_rows: int, width: int, label: str) -> IntMatrix:
     if not isinstance(rows, list) or len(rows) != expected_rows:
-        raise CoalgParseError(f"{label}: expected {expected_rows} rows")
+        raise CoalgParseError(f"{label}: expected {expected_rows} rows", label)
     for row in rows:
         if not isinstance(row, list) or len(row) != width:
-            raise CoalgParseError(f"{label}: rows must have {width} integer entries")
+            raise CoalgParseError(f"{label}: rows must have {width} integer entries", label)
         for v in row:
-            if not isinstance(v, int):
-                raise CoalgParseError(f"{label}: non-integer entry {v!r}")
+            if not _is_int(v):
+                raise CoalgParseError(f"{label}: non-integer entry {v!r}", label)
     return IntMatrix.from_columns(rows, nrows=width)

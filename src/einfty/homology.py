@@ -46,7 +46,8 @@ def _degree_data(c: ChainComplex) -> dict[int, dict]:
     if not degs:
         return {}
     out: dict[int, dict] = {}
-    sf_cache = {d: smith(c.boundary_matrix(d)) for d in range(degs[0], degs[-1] + 2)}
+    sf_cache = {d: smith(c.boundary_matrix(d), ("v", "uinv"))
+                for d in range(degs[0], degs[-1] + 2)}
     for d in degs:
         sf_d = sf_cache[d]          # boundary out of degree d
         sf_up = sf_cache[d + 1]     # boundary into degree d
@@ -62,7 +63,7 @@ def _degree_data(c: ChainComplex) -> dict[int, dict]:
         x = solve(kernel, bmat) if rho_up else IntMatrix(z, 0)
         if x is None:
             raise AssertionError("boundary not inside the cycle lattice")
-        sfx = smith(x)
+        sfx = smith(x, ("uinv",))
         reps_kernel = sfx.uinv.submatrix_columns(list(range(rho_up, z)))
         out[d] = {
             "sf_d": sf_d,

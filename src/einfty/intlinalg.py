@@ -8,13 +8,16 @@ simpler and faster option.
 
 The Smith normal form routine is the workhorse for everything downstream:
 homology, retraction bases, lattice saturation, membership tests and
-finitely presented abelian groups.
+finitely presented abelian groups.  A factorization is the unit of reuse:
+``smith`` builds only the transforms its caller asks for, and a caller that
+solves against one matrix many times factors it once and calls
+``SmithForm.solve`` for every right-hand side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Collection, Sequence
 
 
 class IntMatrix:
@@ -148,13 +151,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.data.items()})
 
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        data = {}
-        for (i, j), v in self.data.items():
-            for (k, l), w in other.data.items():
-                data[(i * other.nrows + k, j * other.ncols + l)] = v * w
-        return IntMatrix(self.nrows * other.nrows, self.ncols * other.ncols, data)
-
     def column(self, j: int) -> list[int]:
         col = [0] * self.nrows
         for (i, jj), v in self.data.items():
@@ -217,19 +213,23 @@ def column_vector(entries: Sequence[int]) -> IntMatrix:
     return IntMatrix(len(entries), 1, {(i, 0): v for i, v in enumerate(entries) if v})
 
 
+TRANSFORMS = ("u", "v", "uinv", "vinv")
+
+
 @dataclass
 class SmithForm:
     """Decomposition ``U @ M @ V == S`` with S diagonal and U, V unimodular.
 
     The diagonal of S is nonnegative and each entry divides the next.
-    ``uinv`` and ``vinv`` are the exact integer inverses of U and V.
+    ``uinv`` and ``vinv`` are the exact integer inverses of U and V.  Only
+    the transforms asked of ``smith`` are built; the others are None.
     """
 
     s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    uinv: IntMatrix
-    vinv: IntMatrix
+    u: IntMatrix | None = None
+    v: IntMatrix | None = None
+    uinv: IntMatrix | None = None
+    vinv: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -243,62 +243,112 @@ class SmithForm:
                 out.append(v)
         return out
 
+    def cokernel(self) -> tuple[int, list[int]]:
+        """Free rank and torsion coefficients >= 2 of Z^nrows / col-span(M)."""
+        facs = self.invariant_factors()
+        return self.s.nrows - len(facs), [f for f in facs if f >= 2]
 
-def smith(m: IntMatrix) -> SmithForm:
-    """Smith normal form with all four transformation matrices.
+    def solve(self, rhs: IntMatrix) -> IntMatrix | None:
+        """A particular integer X with ``M @ X == rhs``, or None when some
+        column of ``rhs`` has no integer solution.  Needs ``u`` and ``v``.
 
-    >>> sf = smith(IntMatrix.from_rows([[2, 4], [6, 8]]))
+        >>> m = IntMatrix.from_rows([[2, 0], [0, 3]])
+        >>> sf = smith(m, ("u", "v"))
+        >>> sf.solve(IntMatrix.from_rows([[4, 2], [-9, 3]])).to_rows()
+        [[2, 1], [-3, 1]]
+        >>> sf.solve(IntMatrix.from_rows([[4, 1], [-9, 0]])) is None
+        True
+        """
+        if self.u is None or self.v is None:
+            raise ValueError("solve needs the u and v transforms")
+        if rhs.nrows != self.s.nrows:
+            raise ValueError("shape mismatch in solve")
+        bound = min(self.s.nrows, self.s.ncols)
+        c = self.u @ rhs
+        y = IntMatrix(self.s.ncols, rhs.ncols)
+        for (i, j), val in c.data.items():
+            d = self.s[i, i] if i < bound else 0
+            if d == 0 or val % d:
+                return None
+            y[i, j] = val // d
+        return self.v @ y
+
+
+def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
+    """Smith normal form of ``m``, with the transforms named in ``transforms``.
+
+    The elimination is the same whatever is asked for, so S and every
+    transform built are too; a transform not asked for is None.  Build only
+    what is read: ``solve`` needs u and v, a kernel basis v, a saturation
+    uinv, and the invariant factors none.  A caller that solves against one
+    matrix many times factors it once and reuses the result.
+
+    >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    >>> sf = smith(m)
     >>> sf.invariant_factors()
     [2, 4]
-    >>> (sf.u @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ sf.v) == sf.s
+    >>> (sf.u @ m @ sf.v) == sf.s
+    True
+    >>> smith(m, ()).u is None and smith(m, ("v",)).v == sf.v
     True
     """
+    unknown = set(transforms) - set(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown Smith transforms {sorted(unknown)}")
     nr, nc = m.nrows, m.ncols
     a = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    uinv = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
-    vinv = IntMatrix.identity(nc).to_rows()
+    u, v, uinv, vinv = (IntMatrix.identity(n).to_rows() if name in transforms else None
+                        for name, n in zip(TRANSFORMS, (nr, nc, nr, nc)))
 
     # Row op: row_i -= q*row_t mirrored on u; uinv gets the inverse column op.
     def row_sub(i, t, q):
         ai, at = a[i], a[t]
         for j in range(nc):
             ai[j] -= q * at[j]
-        ui, ut = u[i], u[t]
-        for j in range(nr):
-            ui[j] -= q * ut[j]
-        for r in range(nr):
-            uinv[r][t] += q * uinv[r][i]
+        if u is not None:
+            ui, ut = u[i], u[t]
+            for j in range(nr):
+                ui[j] -= q * ut[j]
+        if uinv is not None:
+            for r in range(nr):
+                uinv[r][t] += q * uinv[r][i]
 
     def col_sub(j, t, q):
         for i in range(nr):
             a[i][j] -= q * a[i][t]
-        for i in range(nc):
-            v[i][j] -= q * v[i][t]
-        vt = vinv[t]
-        vj = vinv[j]
-        for c in range(nc):
-            vt[c] += q * vj[c]
+        if v is not None:
+            for i in range(nc):
+                v[i][j] -= q * v[i][t]
+        if vinv is not None:
+            vt = vinv[t]
+            vj = vinv[j]
+            for c in range(nc):
+                vt[c] += q * vj[c]
 
     def row_swap(i, t):
         a[i], a[t] = a[t], a[i]
-        u[i], u[t] = u[t], u[i]
-        for r in range(nr):
-            uinv[r][i], uinv[r][t] = uinv[r][t], uinv[r][i]
+        if u is not None:
+            u[i], u[t] = u[t], u[i]
+        if uinv is not None:
+            for r in range(nr):
+                uinv[r][i], uinv[r][t] = uinv[r][t], uinv[r][i]
 
     def col_swap(j, t):
         for i in range(nr):
             a[i][j], a[i][t] = a[i][t], a[i][j]
-        for i in range(nc):
-            v[i][j], v[i][t] = v[i][t], v[i][j]
-        vinv[j], vinv[t] = vinv[t], vinv[j]
+        if v is not None:
+            for i in range(nc):
+                v[i][j], v[i][t] = v[i][t], v[i][j]
+        if vinv is not None:
+            vinv[j], vinv[t] = vinv[t], vinv[j]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(nr):
-            uinv[r][i] = -uinv[r][i]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+        if uinv is not None:
+            for r in range(nr):
+                uinv[r][i] = -uinv[r][i]
 
     def pivot_position(t):
         best = None
@@ -363,13 +413,8 @@ def smith(m: IntMatrix) -> SmithForm:
         t += 1
 
     s = IntMatrix(nr, nc, {(i, i): a[i][i] for i in range(bound) if a[i][i]})
-    return SmithForm(
-        s=s,
-        u=IntMatrix.from_rows(u),
-        v=IntMatrix.from_rows(v),
-        uinv=IntMatrix.from_rows(uinv),
-        vinv=IntMatrix.from_rows(vinv),
-    )
+    return SmithForm(s, *(None if x is None else IntMatrix.from_rows(x, n)
+                          for x, n in zip((u, v, uinv, vinv), (nr, nc, nr, nc))))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -382,7 +427,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> s.is_zero() and u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
     True
     """
-    sf = smith(m)
+    sf = smith(m, ("u", "v"))
     return sf.s, sf.u, sf.v
 
 
@@ -426,17 +471,7 @@ def solve(m: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
     """
     if rhs.nrows != m.nrows:
         raise ValueError("shape mismatch in solve")
-    sf = smith(m)
-    c = sf.u @ rhs
-    y = IntMatrix(m.ncols, rhs.ncols)
-    for (i, j), val in c.data.items():
-        d = sf.s[i, i] if i < min(m.nrows, m.ncols) else 0
-        if d == 0:
-            return None
-        if val % d:
-            return None
-        y[i, j] = val // d
-    return sf.v @ y
+    return smith(m, ("u", "v")).solve(rhs)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -445,7 +480,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is a pure sublattice, so the columns
     returned here always extend to a basis of Z^ncols.
     """
-    sf = smith(m)
+    sf = smith(m, ("v",))
     r = sf.rank
     cols = list(range(r, m.ncols))
     return sf.v.submatrix_columns(cols)
@@ -453,7 +488,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 def column_span_saturation(m: IntMatrix) -> IntMatrix:
     """Basis of the saturation {x : k*x in col-span(m) for some k != 0}."""
-    sf = smith(m)
+    sf = smith(m, ("uinv",))
     cols = list(range(sf.rank))
     return sf.uinv.submatrix_columns(cols)
 
@@ -474,6 +509,4 @@ def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> tuple[int, l
     """
     if relations.nrows != ambient_rank:
         raise ValueError("relation matrix has wrong ambient rank")
-    facs = smith(relations).invariant_factors()
-    torsion = [f for f in facs if f >= 2]
-    return ambient_rank - len(facs), torsion
+    return smith(relations, ()).cokernel()

@@ -22,12 +22,12 @@ reduction -- nothing is computed modulo a prime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import GroupMismatch, NotNormalizable, RelationViolation, ShapeMismatch
-from .intlinalg import (IntMatrix, column_span_saturation, column_vector,
-                        quotient_invariants, solve)
+from .intlinalg import (IntMatrix, SmithForm, column_span_saturation, column_vector,
+                        smith)
 
 
 @dataclass
@@ -41,8 +41,14 @@ class FpAbelianGroup:
         if self.relations.nrows != self.ambient_rank:
             raise ShapeMismatch("relation matrix does not match ambient rank")
 
+    @cached_property
+    def factored(self) -> SmithForm:
+        """Smith factorization of the relations, built once per group and
+        read by both ``invariants`` and ``is_zero_class``."""
+        return smith(self.relations, ("u", "v"))
+
     def invariants(self) -> tuple[int, list[int]]:
-        return quotient_invariants(self.ambient_rank, self.relations)
+        return self.factored.cokernel()
 
     def same_presentation(self, other: "FpAbelianGroup") -> bool:
         return (self.ambient_rank == other.ambient_rank
@@ -50,7 +56,7 @@ class FpAbelianGroup:
                 and self.relations.ncols == other.relations.ncols)
 
     def is_zero_class(self, vec: list[int]) -> bool:
-        return solve(self.relations, column_vector(vec)) is not None
+        return self.factored.solve(column_vector(vec)) is not None
 
     def describe(self) -> dict:
         free, torsion = self.invariants()
@@ -96,11 +102,13 @@ def _bracket_with_left(m: int, i: int, w: list[int]) -> list[int]:
 
 @dataclass
 class LieLattice:
-    """Integral bracket lattices inside the tensor powers of H1."""
+    """Integral bracket lattices inside the tensor powers of H1, with the
+    factorization of ``degree3`` that every coordinate solve reuses."""
 
     h1_rank: int
     degree2: IntMatrix = field(repr=False)   # m^2 x C(m,2)
     degree3: IntMatrix = field(repr=False)   # m^3 x (m(m^2-1)/3), primitive
+    degree3_smith: SmithForm = field(repr=False)
 
     @property
     def rank2(self) -> int:
@@ -132,7 +140,7 @@ def lie_lattice(m: int) -> LieLattice:
     if deg3.ncols != expected:
         raise AssertionError(
             f"degree-3 bracket lattice rank {deg3.ncols}, expected {expected}")
-    return LieLattice(m, deg2, deg3)
+    return LieLattice(m, deg2, deg3, smith(deg3, ("u", "v")))
 
 
 # -- the invariant window -------------------------------------------------------
@@ -291,19 +299,18 @@ def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
     rel_cols: list[list[int]] = []
     # [H1, comul(H2)] in every H2 slot: the denominator brackets against the
     # image of the whole second homology, independently of the slot
+    brackets = IntMatrix.from_columns(
+        [_bracket_with_left(m, i, comul.column(u)) for u in range(r) for i in range(m)],
+        nrows=m ** 3)
+    coords = lie.degree3_smith.solve(brackets)
+    if coords is None:
+        raise AssertionError("bracket with comul image left the lattice")
     for s in range(r):
-        for u in range(r):
-            w = comul.column(u)
-            for i in range(m):
-                vec = _bracket_with_left(m, i, w)
-                coords = solve(lie.degree3, column_vector(vec))
-                if coords is None:
-                    raise AssertionError("bracket with comul image left the lattice")
-                col = [0] * ambient
-                for (t, _), v in coords.data.items():
-                    col[s * lie.rank3 + t] = v
-                if any(col):
-                    rel_cols.append(col)
+        for c in coords.columns():
+            col = [0] * ambient
+            col[s * lie.rank3:(s + 1) * lie.rank3] = c
+            if any(col):
+                rel_cols.append(col)
     # delta of every basis map H1 -> [H1, H1]
     for a in range(m):
         for w_idx in range(lie.rank2):
@@ -311,14 +318,12 @@ def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
             for i, v in enumerate(lie.degree2.column(w_idx)):
                 if v:
                     nu[i, a] = v
-            img = delta_map(comul, nu, m)
+            coords = lie.degree3_smith.solve(delta_map(comul, nu, m))
+            if coords is None:
+                raise AssertionError("delta image left the bracket lattice")
             col = [0] * ambient
-            for s in range(r):
-                coords = solve(lie.degree3, column_vector(img.column(s)))
-                if coords is None:
-                    raise AssertionError("delta image left the bracket lattice")
-                for (t, _), v in coords.data.items():
-                    col[s * lie.rank3 + t] = v
+            for (t, s), v in coords.data.items():
+                col[s * lie.rank3 + t] = v
             if any(col):
                 rel_cols.append(col)
     relations = IntMatrix.from_columns(rel_cols, nrows=ambient)
@@ -338,13 +343,14 @@ def massey_invariant(p) -> InvariantClass:
     if bad:
         raise RelationViolation("hat m2_0 = sigma hat m2_0", bad[0])
     lie = lie_lattice(m)
+    coords = lie.degree3_smith.solve(w.triple)
+    if coords is None:
+        s = next(s for s in range(r)
+                 if lie.degree3_smith.solve(column_vector(w.triple.column(s))) is None)
+        raise NotNormalizable(f"H2 generator #{s}")
     rep = [0] * (r * lie.rank3)
-    for s in range(r):
-        coords = solve(lie.degree3, column_vector(w.triple.column(s)))
-        if coords is None:
-            raise NotNormalizable(f"H2 generator #{s}")
-        for (t, _), v in coords.data.items():
-            rep[s * lie.rank3 + t] = v
+    for (t, s), v in coords.data.items():
+        rep[s * lie.rank3 + t] = v
     return InvariantClass(massey_group(m, r, w.comul), tuple(rep))
 
 

@@ -151,7 +151,7 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
                 (_, i), (_, j), (_, k) = word
                 mu[(i * m + j) * m + k] = coeff
         vec = IntMatrix.from_columns([mu], nrows=m ** 3)
-        if solve(basis, vec) is not None:
+        if lie.degree3_smith.solve(vec) is not None:
             continue
         sol = solve(cols, vec)
         if sol is None:
@@ -277,28 +277,12 @@ def compare_structures(p: TransferPackage, q: TransferPackage) -> StructureCompa
                 ok = False
                 break
             continue
-        m = IntMatrix.identity(rows) - _swap_matrix(hp, d + 1)
-        sol = solve(IntMatrix.identity(cols).kron(m),
-                    _vectorize(target))
-        if sol is None:
+        mat = solve(IntMatrix.identity(rows) - _swap_matrix(hp, d + 1), target)
+        if mat is None:
             ok = False
             break
-        mat = _unvectorize(sol, rows, cols)
         if not mat.is_zero():
             witness_blocks[d] = mat
     witness = GradedOperator(hp, hp, 2, 1, witness_blocks) if ok else None
     return StructureComparison(diffs, witness)
 
-
-def _vectorize(m: IntMatrix) -> IntMatrix:
-    out = IntMatrix(m.nrows * m.ncols, 1)
-    for (i, j), v in m.data.items():
-        out[j * m.nrows + i, 0] = v
-    return out
-
-
-def _unvectorize(v: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
-    out = IntMatrix(nrows, ncols)
-    for (k, _), val in v.data.items():
-        out[k % nrows, k // nrows] = val
-    return out

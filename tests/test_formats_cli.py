@@ -48,6 +48,37 @@ def test_coalg_rejects_bad_schema(tmp_path):
         load_structure_fixture(p)
 
 
+def _set_rank(field, value):
+    def edit(data):
+        data[field] = value
+    return edit
+
+
+def _true_entry(data):
+    data["triple"][0][0] = True
+
+
+@pytest.mark.parametrize("edit,field", [
+    (_set_rank("h1_rank", 3.7), "h1_rank"),
+    (_set_rank("h1_rank", "3"), "h1_rank"),
+    (_set_rank("h2_rank", None), "h2_rank"),
+    (_set_rank("h1_rank", -1), "h1_rank"),
+    (_set_rank("h2_rank", True), "h2_rank"),
+    (_true_entry, "triple"),
+], ids=["float-rank", "string-rank", "null-rank", "negative-rank", "bool-rank",
+        "bool-entry"])
+def test_coalg_malformed_field_is_named(tmp_path, edit, field):
+    data = json.loads(fixture_path("zero").read_text())
+    edit(data)
+    p = tmp_path / "bad.coalg"
+    p.write_text(json.dumps(data))
+    _, err = run_cli("invariant", str(p), expect=1)
+    error = json.loads(err)["error"]
+    assert error["error"] == "CoalgParseError"
+    assert error["field"] == field
+    assert error["message"].startswith(f"{field}: ")
+
+
 def test_coalg_rejects_noncocommutative(tmp_path):
     data = json.loads(fixture_path("borromean").read_text())
     data["comul"][0][0 * 3 + 1] = 1  # breaks antisymmetry

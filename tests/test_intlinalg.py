@@ -1,4 +1,6 @@
 """Exact linear algebra: Smith form against an independent minor-gcd oracle."""
+import doctest
+import random
 from itertools import combinations
 from math import gcd
 
@@ -6,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einfty.intlinalg import (IntMatrix, column_span_saturation, column_vector,
-                              in_column_span, kernel_basis, quotient_invariants,
-                              rank, smith, smith_normal_form, solve)
+from einfty import intlinalg, invariants
+from einfty.cli import _class_report
+from einfty.intlinalg import (TRANSFORMS, IntMatrix, column_span_saturation,
+                              column_vector, in_column_span, kernel_basis,
+                              quotient_invariants, rank, smith, smith_normal_form,
+                              solve)
+from einfty.invariants import (InvariantWindow, class_equals, lie_lattice,
+                               massey_invariant, sq_dual_invariant)
 
 
 def minors_gcd_invariant_factors(rows):
@@ -134,9 +141,118 @@ def test_matrix_ops():
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert (a + b - b) == a
     assert a.transpose().transpose() == a
-    k = a.kron(IntMatrix.identity(2))
-    assert k.shape == (4, 4) and k[0, 0] == 1 and k[2, 0] == 3
     assert a.hstack(b).shape == (2, 4)
     assert a.vstack(b).shape == (4, 2)
     with pytest.raises(ValueError):
         a @ IntMatrix.zero(3, 3)
+
+
+def test_doctests_pass():
+    failed, attempted = doctest.testmod(intlinalg)
+    assert failed == 0 and attempted > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrix)
+def test_smith_builds_only_requested_transforms(rows):
+    m = IntMatrix.from_rows(rows)
+    full = smith(m)
+    for k in range(len(TRANSFORMS) + 1):
+        for subset in combinations(TRANSFORMS, k):
+            part = smith(m, subset)
+            assert part.s == full.s
+            for name in TRANSFORMS:
+                got = getattr(part, name)
+                if name in subset:
+                    assert got == getattr(full, name)
+                else:
+                    assert got is None
+
+
+def test_smith_rejects_unknown_transform_and_solve_needs_u_v():
+    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    with pytest.raises(ValueError):
+        smith(m, ("w",))
+    with pytest.raises(ValueError):
+        smith(m, ("u",)).solve(column_vector([2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix, st.data())
+def test_multi_column_solve_matches_columns(rows, data):
+    m = IntMatrix.from_rows(rows)
+    cols = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.ncols,
+                                        max_size=m.ncols))
+            cols.append(m.apply(coeffs))
+        else:
+            cols.append(data.draw(st.lists(st.integers(-5, 5), min_size=m.nrows,
+                                           max_size=m.nrows)))
+    rhs = IntMatrix.from_columns(cols, nrows=m.nrows)
+    x = smith(m, ("u", "v")).solve(rhs)
+    singles = [solve(m, column_vector(c)) for c in cols]
+    if any(s is None for s in singles):
+        assert x is None
+    else:
+        assert x is not None and (m @ x) == rhs
+        assert [x.column(j) for j in range(len(cols))] == [s.column(0) for s in singles]
+
+
+# -- factor once: counted Smith factorizations ------------------------------------
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Every matrix handed to ``smith`` while the test runs."""
+    calls = []
+    real = intlinalg.smith
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith", counting)
+    monkeypatch.setattr(invariants, "smith", counting)
+    return calls
+
+
+def _window(m: int, seed: int) -> InvariantWindow:
+    """H1 rank m, one H2 generator per pair with comul the pair's bracket,
+    and triple images random combinations of degree-3 brackets."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(m), 2))
+    comul = IntMatrix.from_columns(
+        [invariants._bracket2(m, i, j) for i, j in pairs], nrows=m * m)
+    brackets = [invariants._bracket_with_left(m, i, invariants._bracket2(m, j, k))
+                for i in range(m) for j, k in pairs]
+    triple = []
+    for _ in pairs:
+        col = [0] * m ** 3
+        for b in rng.sample(brackets, 3):
+            c = rng.randint(-2, 2)
+            col = [x + c * y for x, y in zip(col, b)]
+        triple.append(col)
+    return InvariantWindow(m, len(pairs), comul, IntMatrix(m * m, m),
+                           IntMatrix.from_columns(triple, nrows=m ** 3))
+
+
+def test_massey_factors_degree3_once_per_process(smith_calls):
+    lie_lattice.cache_clear()
+    for seed in (1, 2):
+        massey_invariant(_window(4, seed))
+    degree3 = lie_lattice(4).degree3
+    assert sum(m == degree3 for m in smith_calls) == 1
+    # the other factorization is the saturation that builds degree3
+    assert len(smith_calls) == 2
+
+
+def test_class_report_then_equals_factors_each_group_once(smith_calls):
+    wa, wb = _window(4, 1), _window(4, 2)
+    for fn in (sq_dual_invariant, massey_invariant):
+        a, b = fn(wa), fn(wb)
+        _class_report(a)
+        _class_report(b)
+        class_equals(a, b)
+        for cls in (a, b):
+            assert sum(m is cls.group.relations for m in smith_calls) == 1

@@ -116,12 +116,13 @@ def test_massey_delta_image_is_zero_class():
 
 
 def test_massey_membership_precondition():
-    bad = IntMatrix(27, 2)
-    bad[0, 0] = 1  # a (x) a (x) a is not a bracket
-    w = InvariantWindow(3, 2, IntMatrix(9, 2), IntMatrix(9, 3), bad)
-    with pytest.raises(NotNormalizable) as exc:
-        massey_invariant(w)
-    assert "generator #0" in str(exc.value)
+    for col in (0, 1):
+        bad = IntMatrix(27, 2)
+        bad[0, col] = 1  # a (x) a (x) a is not a bracket
+        w = InvariantWindow(3, 2, IntMatrix(9, 2), IntMatrix(9, 3), bad)
+        with pytest.raises(NotNormalizable) as exc:
+            massey_invariant(w)
+        assert f"generator #{col}" in str(exc.value)
 
 
 def test_window_symmetry_validation():
