@@ -178,7 +178,8 @@ def gr_h0_ranks(t: TruncatedCobar) -> list[dict]:
     graded piece (torsion empty on all bundled fixtures, but reported
     honestly when present).
     """
-    comp = _completable(t, t.max_len - 1)
+    # length l reads the completable generators of length l - 1 only
+    comp = _completable(t, t.max_len - 2)
     out = []
     for length in range(0, t.max_len):
         ambient = t.word_count(0, length)

@@ -1,11 +1,12 @@
 """Cobar construction: graded ranks against group-algebra oracles."""
 import pytest
 
+from einfty import cobar
 from einfty.cobar import TruncatedCobar, build_cobar, check_d_squared_cobar, gr_h0_ranks
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
 from einfty.errors import MultipleVertices
-from einfty.simplicial import (circle, point, projective_plane, sphere, torus,
-                               wedge_of_circles)
+from einfty.simplicial import (FaceRef, SimplicialSet, circle, point, projective_plane,
+                               sphere, torus, wedge_of_circles)
 
 
 def _cobar(x, n, max_k=2):
@@ -50,6 +51,55 @@ def test_torus_oracle_commuting_letters():
     t = _cobar(torus(), 4)
     assert _ranks(t) == [1, 2, 3, 4]
     assert _torsion(t) == [[]] * 4
+
+
+def _genus2_surface() -> SimplicialSet:
+    """Single vertex, 9 edges, 6 triangles: the fan triangulation of the
+    octagon a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 from its corner P_0.
+
+    Triangle k has corners P_0, P_k, P_{k+1} and the diagonal D_j runs from
+    P_0 to P_j, so D_1 = a1 and D_7 = b2.  A side read backwards puts
+    P_{k+1} before P_k in the triangle's vertex order.
+    """
+    sides = [("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
+             ("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1)]
+
+    def diagonal(j):
+        return {1: "a1", 7: "b2"}.get(j, f"D{j}")
+
+    v = FaceRef((), "v")
+    edges = ["a1", "b1", "a2", "b2"] + [f"D{j}" for j in range(2, 7)]
+    faces = {e: (v, v) for e in edges}
+    triangles = []
+    for k in range(1, 7):
+        letter, direction = sides[k]
+        ends = (diagonal(k + 1), diagonal(k)) if direction > 0 else (diagonal(k), diagonal(k + 1))
+        triangles.append(f"T{k}")
+        faces[f"T{k}"] = tuple(FaceRef((), f) for f in (letter,) + ends)
+    return SimplicialSet({0: ["v"], 1: edges, 2: triangles}, faces)
+
+
+def test_genus2_surface_oracle():
+    # gr of the group ring of a genus-g surface group has the Hilbert
+    # series 1 / (1 - 2g t + t^2): ranks 1, 4, 15, 56 for g = 2
+    t = _cobar(_genus2_surface(), 4)
+    assert _ranks(t) == [1, 4, 15, 56]
+    assert _torsion(t) == [[]] * 4
+
+
+def test_ranks_factor_only_the_completable_levels_they_read(monkeypatch):
+    # length l reads the completable generators of length l - 1, so at
+    # max_len 4 only lengths 1 and 2 need a kernel basis
+    calls = []
+    real = cobar.kernel_basis
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(cobar, "kernel_basis", counting)
+    assert _ranks(_cobar(torus(), 4)) == [1, 2, 3, 4]
+    assert len(calls) == 2
 
 
 def test_rp2_torsion_honesty():

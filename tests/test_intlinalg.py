@@ -1,14 +1,20 @@
-"""Exact linear algebra: Smith form against an independent minor-gcd oracle."""
+"""Exact linear algebra: Smith form against an independent minor-gcd oracle,
+and against the dense elimination whose pivot sequence it keeps."""
+import ast
 import doctest
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from einfty import intlinalg, invariants
+from einfty import intlinalg, invariants, operads
 from einfty.cli import _class_report
 from einfty.intlinalg import (TRANSFORMS, IntMatrix, column_span_saturation,
                               column_vector, in_column_span, kernel_basis,
@@ -16,6 +22,8 @@ from einfty.intlinalg import (TRANSFORMS, IntMatrix, column_span_saturation,
                               solve)
 from einfty.invariants import (InvariantWindow, class_equals, lie_lattice,
                                massey_invariant, sq_dual_invariant)
+
+from dense_smith_oracle import RemainderStep, dense_smith
 
 
 def minors_gcd_invariant_factors(rows):
@@ -73,11 +81,15 @@ small_matrix = st.integers(1, 4).flatmap(
             min_size=n, max_size=n)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrix)
-def test_smith_postconditions(rows):
-    m = IntMatrix.from_rows(rows)
-    sf = smith(m)
+def matrices(size, entries):
+    return st.integers(1, size).flatmap(
+        lambda n: st.integers(1, size).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=n, max_size=n)))
+
+
+def assert_smith_form(m, sf):
     assert (sf.u @ m @ sf.v) == sf.s
     assert (sf.u @ sf.uinv) == IntMatrix.identity(m.nrows)
     assert (sf.v @ sf.vinv) == IntMatrix.identity(m.ncols)
@@ -88,7 +100,71 @@ def test_smith_postconditions(rows):
     # off-diagonal zero
     for (i, j), val in sf.s.data.items():
         assert i == j and val
-    assert facs == minors_gcd_invariant_factors(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_smith_postconditions(rows):
+    m = IntMatrix.from_rows(rows)
+    sf = smith(m)
+    assert_smith_form(m, sf)
+    assert sf.invariant_factors() == minors_gcd_invariant_factors(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(10, st.integers(-100, 100)))
+def test_smith_postconditions_on_wide_entries(rows):
+    # entries the pivot does not divide are cleared by gcd steps, which keep
+    # the coefficients of the working copy and the transforms bounded
+    m = IntMatrix.from_rows(rows)
+    assert_smith_form(m, smith(m))
+
+
+def test_smith_finishes_where_remainder_swaps_blew_up():
+    # the remainder-and-swap Euclid pass grew this working copy past 12
+    # million bits at pivot 4 and did not finish in 300 s
+    m = IntMatrix(7, 6, {(0, 0): -4, (0, 1): 4, (0, 5): 6, (1, 0): -3, (1, 4): -8,
+                         (1, 5): -7, (2, 1): 6, (2, 3): 3, (3, 0): -5, (3, 1): 6,
+                         (3, 2): 7, (3, 3): 6, (3, 4): 7, (4, 0): -7, (4, 1): 1,
+                         (4, 3): 8, (5, 2): 5, (5, 3): -2, (5, 4): 9, (6, 3): 7,
+                         (6, 5): -6})
+    sf = smith(m)
+    assert_smith_form(m, sf)
+    assert sf.invariant_factors() == minors_gcd_invariant_factors(m.to_rows()) == [1] * 5 + [24]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(10, st.one_of(st.just(0), st.integers(-2, 2))))
+@example([[0, -2, 0], [-2, 1, 2], [0, -2, 2]])
+@example([[2, -2, 1, 0], [0, 0, -2, 0], [0, 0, 0, 0], [1, 0, -2, 0]])
+def test_sparse_smith_repeats_the_dense_elimination(rows):
+    # the pivot sequence is the contract: wherever the dense elimination
+    # never meets an entry its pivot does not divide, S and all four
+    # transforms are the same matrices, built in the same entry order (the
+    # two examples each fold an offending row into the pivot row)
+    m = IntMatrix.from_rows(rows)
+    try:
+        dense = dense_smith(m)
+    except RemainderStep:
+        event("dense elimination took a remainder step")
+        return
+    sparse = smith(m)
+    for name in ("s",) + TRANSFORMS:
+        assert getattr(sparse, name) == getattr(dense, name)
+        assert list(getattr(sparse, name).data) == list(getattr(dense, name).data)
+
+
+def test_derive_arity3_prints_the_frozen_table():
+    # the derivation script searches through Smith transforms, so a change
+    # of pivot sequence would show up as a different table
+    script = Path(__file__).parents[1] / "tools" / "derive_arity3.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(intlinalg.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    table = out[out.index("_M3_TABLE_DATA = ") + len("_M3_TABLE_DATA = "):]
+    assert ast.literal_eval(table[:table.index("\n}\n") + 2]) == operads._M3_TABLE_DATA
+    for k in (1, 2, 3):
+        assert f"H_{k}: rank 0, torsion []" in out
 
 
 @settings(max_examples=40, deadline=None)
