@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .chains import bracket_d, compose_slot, transpose_swap
-from .cobar import build_cobar, check_d_squared_cobar, gr_h0_ranks
+from .cobar import build_cobar, check_d_squared_cobar, describe_failure, gr_h0_ranks
 from .coalgebra import chain_structure, operator_dump, reduce_structure
-from .errors import BadFlag, EinftyError
+from .errors import BadFlag, EinftyError, RelationViolation
 from .formats import (COALG_FIXTURES, SSET_FIXTURES, fixture_path,
                       list_fixtures, load_structure_fixture)
 from .homology import build_sdr, homology, sdr_variant
@@ -125,9 +125,10 @@ def cmd_cobar(args) -> dict:
     s = chain_structure(x, args.max_cup)
     red = reduce_structure(s)
     t = build_cobar(red, args.max_len)
-    dd = [r for r in check_d_squared_cobar(t) if not r["ok"]]
-    if dd:
-        raise EinftyError(f"cobar differential fails to square to zero: {dd}")
+    bad = [r for r in check_d_squared_cobar(t) if not r["ok"]]
+    if bad:
+        fields = {k: v for k, v in bad[0].items() if k != "ok"}
+        raise RelationViolation("cobar D o D = 0", describe_failure(bad[0]), fields)
     return {
         "max_len": args.max_len,
         "graded_pieces": gr_h0_ranks(t),
@@ -188,8 +189,9 @@ def cmd_selfcheck(args) -> dict:
             record(f"{name}: transfer relations", not verify_relations(pkg))
         if s.complex.rank(0) == 1:
             t = build_cobar(reduce_structure(s), args.max_len)
-            record(f"{name}: cobar D o D = 0",
-                   all(r["ok"] for r in check_d_squared_cobar(t)))
+            bad = [r for r in check_d_squared_cobar(t) if not r["ok"]]
+            record(f"{name}: cobar D o D = 0", not bad,
+                   describe_failure(bad[0]) if bad else "")
 
     # invariance of the classes under a seeded gauge twist of the retraction
     x = _load_sset(fixture_path("torus"))

@@ -17,10 +17,23 @@ Word-length graded pieces of H_0 are exact quotients: the degree-0 words of
 length l modulo those boundaries D(b) whose lower-length components can be
 cancelled by completing b downwards.  Lengths up to N-1 are unaffected by
 the truncation at N, which is why only those are reported.
+
+D is stored as blocks by source (degree, length): ``d_keep`` maps to the
+same length, ``d_up`` to length + 1.  The words of each length come from one
+``product`` over the sorted alphabet, bucketed by degree, and each block's
+entries are summed in a plain dict before it becomes an ``IntMatrix``.
+
+D o D = 0 is checked exactly, over the integers, on every degree-2 word and
+every component the truncation leaves whole (keep.keep, keep.up + up.keep,
+up.up).  Each block is grouped by column once; a word's D o D is then summed
+term by term into one dict keyed by target row, so no product matrix is
+built.  A failure names the first word whose D o D is nonzero, with that
+image.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .coalgebra import CoalgebraStructure
 from .errors import MultipleVertices
@@ -37,98 +50,115 @@ class TruncatedCobar:
     d_keep: dict[tuple[int, int], IntMatrix] = field(repr=False)
     d_up: dict[tuple[int, int], IntMatrix] = field(repr=False)
 
-    def word_index(self, degree: int, length: int) -> dict[tuple[Letter, ...], int]:
-        return {w: i for i, w in enumerate(self.words.get((degree, length), []))}
-
     def word_count(self, degree: int, length: int) -> int:
         return len(self.words.get((degree, length), ()))
 
 
-def _letters(structure: CoalgebraStructure) -> dict[int, list[int]]:
-    """Shifted degree -> list of basis indices of the reduced complex."""
-    out: dict[int, list[int]] = {}
-    for d in structure.complex.degrees():
-        out[d - 1] = list(range(structure.complex.rank(d)))
-    return out
-
-
-def _letter_images(structure: CoalgebraStructure):
-    """Per letter: the boundary part and the diagonal part of D."""
+def _letter_images(structure: CoalgebraStructure, alphabet: list[Letter]):
+    """Per letter position in ``alphabet``: the boundary part and the
+    diagonal part of D, with their letters given by position too (a pair
+    of letters by its two-digit code)."""
     c = structure.complex
     diag = structure.op("m2_0")
-    bnd: dict[Letter, list[tuple[int, Letter]]] = {}
-    spl: dict[Letter, list[tuple[int, Letter, Letter]]] = {}
-    for d in c.degrees():
-        mat = c.boundary_matrix(d)
+    pos = {letter: k for k, letter in enumerate(alphabet)}
+    base = len(alphabet)
+    bnd: list[list[tuple[int, int]]] = []
+    spl: list[list[tuple[int, int]]] = []
+    for d in sorted({e + 1 for e, _ in alphabet}):
+        faces: dict[int, list[tuple[int, int]]] = {}
+        for (r, col), v in c.boundary_matrix(d).data.items():
+            faces.setdefault(col, []).append((-v, pos[(d - 2, r)]))
         for i in range(c.rank(d)):
-            letter = (d - 1, i)
-            bnd[letter] = []
-            for (r, col), v in mat.data.items():
-                if col == i and v:
-                    bnd[letter].append((-v, (d - 2, r)))
-            spl[letter] = []
+            bnd.append(faces.get(i, []))
+            spl.append([])
             for coeff, word in diag.image_of(d, i):
                 (e1, i1), (e2, i2) = word
                 sign = -1 if e1 % 2 else 1
-                spl[letter].append((sign * coeff, (e1 - 1, i1), (e2 - 1, i2)))
+                pair = pos[(e1 - 1, i1)] * base + pos[(e2 - 1, i2)]
+                spl[-1].append((sign * coeff, pair))
     return bnd, spl
 
 
-def _gen_words(letters: dict[int, list[int]], degree: int, length: int):
-    if length == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for sdeg in sorted(letters):
-        if sdeg > degree:
-            continue
-        for i in letters[sdeg]:
-            for rest in _gen_words(letters, degree - sdeg, length - 1):
-                out.append(((sdeg, i),) + rest)
-    out.sort()
-    return out
+def _words(alphabet: list[Letter], max_len: int):
+    """(degree, length) -> the words of that degree <= 2 in sorted order,
+    and their codes.
+
+    ``product`` over the sorted alphabet yields each length's words already
+    sorted, so bucketing them by degree keeps every bucket sorted.  A word's
+    code is its place in that sequence: the number whose base-len(alphabet)
+    digits are the positions of its letters.
+    """
+    degrees = [e for e, _ in alphabet]
+    words: dict[tuple[int, int], list[tuple[Letter, ...]]] = {}
+    codes: dict[tuple[int, int], list[int]] = {}
+    for length in range(0, max_len + 1):
+        level: dict[int, tuple[list, list]] = {0: ([], []), 1: ([], []), 2: ([], [])}
+        for code, (w, ds) in enumerate(zip(product(alphabet, repeat=length),
+                                           product(degrees, repeat=length))):
+            degree = sum(ds)
+            if degree <= 2:
+                ws, cs = level[degree]
+                ws.append(w)
+                cs.append(code)
+        for degree, (ws, cs) in level.items():
+            if ws:
+                words[(degree, length)], codes[(degree, length)] = ws, cs
+    order = sorted(words)
+    return {k: words[k] for k in order}, {k: codes[k] for k in order}
 
 
 def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
-    """Words of internal degree <= 2 up to the given length, with D blocks."""
+    """Words of internal degree <= 2 up to the given length, with D blocks.
+
+    D changes one letter of a word, so the row of each term follows from the
+    source word's code by arithmetic on that letter's digit.
+    """
     if max_len < 1:
         raise ValueError("word length bound must be >= 1")
     if not structure.reduced:
         raise MultipleVertices(structure.complex.rank(0))
-    letters = _letters(structure)
-    bnd, spl = _letter_images(structure)
-    words: dict[tuple[int, int], list] = {}
-    for degree in (0, 1, 2):
-        for length in range(0, max_len + 1):
-            ws = _gen_words(letters, degree, length)
-            if ws:
-                words[(degree, length)] = ws
+    c = structure.complex
+    alphabet = [(d - 1, i) for d in c.degrees() if d <= 3 for i in range(c.rank(d))]
+    base = len(alphabet)
+    odd = [e % 2 for e, _ in alphabet]
+    bnd, spl = _letter_images(structure, alphabet)
+    words, codes = _words(alphabet, max_len)
     d_keep: dict[tuple[int, int], IntMatrix] = {}
     d_up: dict[tuple[int, int], IntMatrix] = {}
     for (degree, length), ws in words.items():
         if degree == 0:
             continue
-        keep_index = {w: i for i, w in enumerate(words.get((degree - 1, length), []))}
-        up_index = {w: i for i, w in enumerate(words.get((degree - 1, length + 1), []))}
-        keep = IntMatrix(len(keep_index), len(ws))
-        up = IntMatrix(len(up_index), len(ws))
-        for col, w in enumerate(ws):
+        keep_codes = codes.get((degree - 1, length), [])
+        up_codes = codes.get((degree - 1, length + 1), [])
+        keep_index = {code: i for i, code in enumerate(keep_codes)}
+        up_index = {code: i for i, code in enumerate(up_codes)}
+        up_fits = length < max_len
+        places = [base ** (length - 1 - t) for t in range(length)]
+        keep: dict[tuple[int, int], int] = {}
+        up: dict[tuple[int, int], int] = {}
+        for col, code in enumerate(codes[(degree, length)]):
             sign = 1
-            for t, letter in enumerate(w):
-                for coeff, img in bnd[letter]:
-                    w2 = w[:t] + (img,) + w[t + 1:]
-                    r = keep_index[w2]
-                    keep[r, col] = keep[r, col] + sign * coeff
-                for coeff, l1, l2 in spl[letter]:
-                    w2 = w[:t] + (l1, l2) + w[t + 1:]
-                    if len(w2) <= max_len:
-                        r = up_index[w2]
-                        up[r, col] = up[r, col] + sign * coeff
-                if letter[0] % 2:
+            rest = code  # the code of the letters from position t on
+            for p in places:
+                digit, tail = divmod(rest, p)
+                head = code - rest  # the letters before t, in place
+                # every (row, col) is reached once: the changed letter drops
+                # in degree, so no two positions or terms give the same row
+                for coeff, img in bnd[digit]:
+                    keep[keep_index[head + img * p + tail], col] = sign * coeff
+                if up_fits:
+                    # a pair in place of one letter shifts the head a place up
+                    for coeff, pair in spl[digit]:
+                        up[up_index[head * base + pair * p + tail], col] = sign * coeff
+                if odd[digit]:
                     sign = -sign
-        if not keep.is_zero():
-            d_keep[(degree, length)] = keep
-        if not up.is_zero():
-            d_up[(degree, length)] = up
+                rest = tail
+        keep_mat = IntMatrix(len(keep_codes), len(ws), keep)
+        up_mat = IntMatrix(len(up_codes), len(ws), up)
+        if not keep_mat.is_zero():
+            d_keep[(degree, length)] = keep_mat
+        if not up_mat.is_zero():
+            d_up[(degree, length)] = up_mat
     return TruncatedCobar(structure, max_len, words, d_keep, d_up)
 
 
@@ -195,29 +225,103 @@ def gr_h0_ranks(t: TruncatedCobar) -> list[dict]:
     return out
 
 
+def _columns(mat: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Per column of a block, its nonzeros as (row, entry) pairs."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(mat.ncols)]
+    for (r, c), v in mat.data.items():
+        out[c].append((r, v))
+    return out
+
+
+def _first_nonzero_column(products, ncols: int):
+    """First source column where sum(outer @ inner) is nonzero, with its image.
+
+    ``products`` holds (outer, inner) pairs of column-grouped blocks, None
+    for a zero block.  One column's image at a time is summed into a dict
+    keyed by target row, so terms that cancel cost one dict update each and
+    allocate nothing.
+    """
+    products = [(o, i) for o, i in products if o is not None and i is not None]
+    for col in range(ncols):
+        image: dict[int, int] = {}
+        for outer, inner in products:
+            for r, v in inner[col]:
+                for r2, v2 in outer[r]:
+                    image[r2] = image.get(r2, 0) + v * v2
+        if any(image.values()):
+            return col, {r: v for r, v in image.items() if v}
+    return None
+
+
+def word_label(t: TruncatedCobar, degree: int, length: int, index: int) -> str:
+    """A word spelled in the labels of its simplices, "1" when empty."""
+    ws = t.words.get((degree, length), [])
+    if index >= len(ws):  # a degree-0 source's D has no target words
+        return f"#{index} of degree {degree}, length {length}"
+    labels = t.structure.complex.labels
+    return "(x)".join(str(labels(e + 1)[i]) for e, i in ws[index]) or "1"
+
+
+def _failure(t: TruncatedCobar, degree: int, length: int, col: int,
+             images: list[tuple[tuple[int, int], dict[int, int]]]) -> dict:
+    """Report fields naming a failing source word and its nonzero image;
+    ``images`` pairs each target (degree, length) with {row: coefficient}."""
+    return {
+        "length": length,
+        "word": word_label(t, degree, length, col),
+        "expansion": [[v, word_label(t, *target, r)]
+                      for target, image in images for r, v in sorted(image.items())],
+    }
+
+
+def describe_failure(entry: dict) -> str:
+    """One line naming a failing check entry's word and its D o D."""
+    terms = " ".join(f"{v:+d} {w}" for v, w in entry["expansion"])
+    return f"{entry['component']} on {entry['source']}: {entry['word']} -> {terms}"
+
+
 def check_d_squared_cobar(t: TruncatedCobar) -> list[dict]:
-    """D o D = 0 on every truncation-safe component."""
+    """D o D = 0 on every truncation-safe component.
+
+    A failing entry also names the first failing source word (``word``, in
+    simplex labels), its length and the nonzero terms of its image
+    (``expansion``, [coefficient, word] pairs).
+    """
+    keep = {key: _columns(m) for key, m in t.d_keep.items()}
+    up = {key: _columns(m) for key, m in t.d_up.items()}
     report = []
     for length in range(0, t.max_len + 1):
-        if t.word_count(2, length) == 0:
+        n = t.word_count(2, length)
+        if n == 0:
             continue
-        checks = {}
-        checks["keep.keep"] = _block(t, t.d_keep, 1, length) @ _block(t, t.d_keep, 2, length)
+        keep2, up2 = keep.get((2, length)), up.get((2, length))
+        # (label, length added, [(outer, inner)] whose products sum to it)
+        checks = [("keep.keep", 0, [(keep.get((1, length)), keep2)])]
         if length + 1 <= t.max_len:
-            checks["keep.up + up.keep"] = (
-                _block(t, t.d_keep, 1, length + 1) @ _block(t, t.d_up, 2, length)
-                + _block(t, t.d_up, 1, length) @ _block(t, t.d_keep, 2, length))
+            checks.append(("keep.up + up.keep", 1,
+                           [(keep.get((1, length + 1)), up2),
+                            (up.get((1, length)), keep2)]))
         if length + 2 <= t.max_len:
-            checks["up.up"] = _block(t, t.d_up, 1, length + 1) @ _block(t, t.d_up, 2, length)
-        for label, mat in checks.items():
-            report.append({
-                "source": f"degree 2, length {length}",
-                "component": label,
-                "ok": mat.is_zero(),
-            })
+            checks.append(("up.up", 2, [(up.get((1, length + 1)), up2)]))
+        for label, rise, products in checks:
+            entry = {"source": f"degree 2, length {length}", "component": label,
+                     "ok": True}
+            bad = _first_nonzero_column(products, n)
+            if bad is not None:
+                col, image = bad
+                entry["ok"] = False
+                entry.update(_failure(t, 2, length, col, [((0, length + rise), image)]))
+            report.append(entry)
     # degree-0 words must be cycles outright
     for length in range(0, t.max_len + 1):
-        if (0, length) in t.d_keep or (0, length) in t.d_up:
+        blocks = [((-1, length + rise), table[(0, length)])
+                  for rise, table in ((0, keep), (1, up)) if (0, length) in table]
+        if blocks:
+            col = min((c for _, cols in blocks for c, entries in enumerate(cols)
+                       if entries), default=0)
+            images = [(target, dict(cols[col]) if col < len(cols) else {})
+                      for target, cols in blocks]
             report.append({"source": f"degree 0, length {length}",
-                           "component": "D", "ok": False})
+                           "component": "D", "ok": False,
+                           **_failure(t, 0, length, col, images)})
     return report

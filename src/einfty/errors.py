@@ -63,8 +63,12 @@ class MultipleVertices(EinftyError):
 
 
 class RelationViolation(EinftyError):
-    def __init__(self, relation: str, detail: str = ""):
+    """``fields`` locate the failure (for instance the failing word) in the
+    payload, next to the relation's name."""
+
+    def __init__(self, relation: str, detail: str = "", fields: dict | None = None):
         self.relation = relation
+        self.fields = dict(fields or {})
         msg = f"structure relation violated: {relation}"
         if detail:
             msg += f" ({detail})"
@@ -73,6 +77,7 @@ class RelationViolation(EinftyError):
     def payload(self) -> dict:
         out = super().payload()
         out["relation"] = self.relation
+        out.update(self.fields)
         return out
 
 

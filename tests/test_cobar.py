@@ -1,12 +1,19 @@
 """Cobar construction: graded ranks against group-algebra oracles."""
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import cobar_oracle as oracle
 import pytest
 
-from einfty import cobar
+from einfty import cli, cobar
 from einfty.cobar import TruncatedCobar, build_cobar, check_d_squared_cobar, gr_h0_ranks
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
 from einfty.errors import MultipleVertices
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, point, projective_plane,
-                               sphere, torus, wedge_of_circles)
+from einfty.formats import SSET_FIXTURES, fixture_path
+from einfty.intlinalg import IntMatrix
+from einfty.simplicial import (FaceRef, SimplicialSet, circle, parse_sset, point,
+                               projective_plane, sphere, torus, wedge_of_circles)
 
 
 def _cobar(x, n, max_k=2):
@@ -159,3 +166,110 @@ def test_requires_reduced_structure():
         build_cobar(s, 3)
     with pytest.raises(ValueError):
         build_cobar(reduce_structure(s), 0)
+
+
+def _verdicts(report):
+    return [(r["source"], r["component"], r["ok"]) for r in report]
+
+
+@pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2",))
+def test_cobar_matches_oracle(name):
+    # the one-pass words and column-wise check against the recursive words,
+    # entry-by-entry blocks and block products they replaced
+    if name == "genus2":
+        x = _genus2_surface()
+    else:
+        x = parse_sset(fixture_path(name).read_text())
+    red = reduce_structure(chain_structure(x, 2))
+    t, want = build_cobar(red, 4), oracle.build_cobar(red, 4)
+    assert t.words == want.words
+    assert t.d_keep == want.d_keep
+    assert t.d_up == want.d_up
+    assert check_d_squared_cobar(t) == oracle.check_d_squared_cobar(want)
+
+
+def _negate_keep_entry(t, pick=0):
+    """Negate a d_keep entry of a degree-2 block that keep.keep sees: the
+    ``pick``-th in column order in the shortest such block.
+
+    Returns the tampered cobar and the label of the source word of that
+    entry, or None when no degree-2 entry meets a nonzero degree-1 column.
+    """
+    for length in range(t.max_len + 1):
+        inner, outer = t.d_keep.get((2, length)), t.d_keep.get((1, length))
+        if inner is None or outer is None:
+            continue
+        hit = {r for r, _ in outer.data}
+        keys = sorted((c, r) for r, c in inner.data if r in hit)
+        if keys:
+            col, row = keys[pick]
+            m = inner.copy()
+            m[row, col] = -m[row, col]
+            d_keep = {**t.d_keep, (2, length): m}
+            tampered = TruncatedCobar(t.structure, t.max_len, t.words, d_keep, t.d_up)
+            return tampered, cobar.word_label(t, 2, length, col)
+    return None
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_negated_keep_entry_is_named(pick):
+    tampered, word = _negate_keep_entry(_cobar(torus(), 4), pick)
+    report = check_d_squared_cobar(tampered)
+    assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(tampered))
+    bad = [r for r in report if not r["ok"]]
+    assert bad[0]["component"] == "keep.keep"
+    assert bad[0]["word"] == word
+    assert bad[0]["expansion"] and all(v for v, _ in bad[0]["expansion"])
+
+
+def _run_cli(monkeypatch, argv):
+    real = cli.build_cobar
+
+    def tampering(structure, max_len):
+        t = real(structure, max_len)
+        hit = _negate_keep_entry(t)
+        return t if hit is None else hit[0]
+
+    monkeypatch.setattr(cli, "build_cobar", tampering)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_failing_cobar_exits_with_relation_violation(monkeypatch):
+    code, _, err = _run_cli(monkeypatch, ["cobar", "torus"])
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["error"] == "RelationViolation"
+    assert error["relation"] == "cobar D o D = 0"
+    # on the torus fixture the negated entry sits in the column of U(x)U,
+    # its first degree-2 word
+    assert (error["component"], error["length"]) == ("keep.keep", 2)
+    assert error["word"] == "U(x)U"
+    assert error["expansion"] == [[-2, "a(x)a"], [-2, "a(x)b"], [2, "a(x)c"]]
+    assert "U(x)U -> -2 a(x)a -2 a(x)b +2 a(x)c" in error["message"]
+
+
+def test_failing_cobar_in_selfcheck_has_detail(monkeypatch):
+    code, out, _ = _run_cli(monkeypatch, ["selfcheck"])
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["results"]["checks"]}
+    entry = checks["torus: cobar D o D = 0"]
+    assert not entry["ok"]
+    assert entry["detail"].startswith("keep.keep on degree 2, length 2: ")
+
+
+def test_degree_zero_block_is_named():
+    # degree-0 words are cycles; a hand-made block on them must fail, and
+    # the entry names the first word it moves
+    t = _cobar(torus(), 3)
+    bogus = IntMatrix(1, t.word_count(0, 1), {(0, 1): 1, (0, 2): -2})
+    bad = TruncatedCobar(t.structure, t.max_len, t.words, t.d_keep,
+                         {**t.d_up, (0, 1): bogus})
+    report = check_d_squared_cobar(bad)
+    assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(bad))
+    entry = report[-1]
+    assert (entry["source"], entry["ok"]) == ("degree 0, length 1", False)
+    assert entry["word"] == cobar.word_label(t, 0, 1, 1)
+    assert [v for v, _ in entry["expansion"]] == [1]

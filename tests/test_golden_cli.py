@@ -4,6 +4,8 @@ Every case runs one ``einfty`` command in-process and compares its output
 byte for byte with a recorded file under ``tests/golden/``: stdout for a
 command that exits 0, stderr (the error payload) for one that does not.
 ``exit_codes.json`` lists the cases with a nonzero exit code.
+``selfcheck --seed 0`` gates the verification battery, which runs every
+bundled fixture's structure, transfer and cobar D o D checks.
 
 A change that alters a report on purpose re-records the files with
 
@@ -29,11 +31,12 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 CASES = [(cmd, fx) for fx in SSET_FIXTURES
          for cmd in ("homology", "coalgebra", "transfer", "invariant", "cobar")]
 CASES += [("invariant", "borromean"), ("invariant", "zero"),
-          ("compare", "borromean", "zero"), ("compare", "borromean", "borromean")]
+          ("compare", "borromean", "zero"), ("compare", "borromean", "borromean"),
+          ("selfcheck", "--seed", "0")]
 
 
 def _name(case) -> str:
-    return "-".join(case)
+    return "-".join(arg.lstrip("-") for arg in case)
 
 
 def _run(case) -> tuple[int, str, str]:
