@@ -1,18 +1,8 @@
-"""Exact integer toolkit for coalgebra structures on simplicial chains."""
+"""Exact integer toolkit for coalgebra structures on simplicial chains.
+
+Import names from the submodules (``einfty.intlinalg``, ``einfty.invariants``
+and so on): the package itself loads none of them, so a command pays only
+for the modules it runs.
+"""
 
 __version__ = "0.1.0"
-
-from .chains import ChainComplex, GradedOperator, compose_slot, tensor_complex  # noqa: F401,E402
-from .cobar import TruncatedCobar, build_cobar, check_d_squared_cobar, gr_h0_ranks  # noqa: F401,E402
-from .coalgebra import (CoalgebraStructure, aw_diagonal, chain_structure,  # noqa: F401,E402
-                        counit, cup_k_coproduct, evaluate, reduce_structure)
-from .homology import SDR, HomologyReport, build_sdr, homology, sdr_variant  # noqa: F401,E402
-from .intlinalg import IntMatrix, smith_normal_form  # noqa: F401,E402
-from .invariants import (FpAbelianGroup, InvariantClass, InvariantWindow,  # noqa: F401,E402
-                         class_equals, delta_map, lie_lattice, massey_invariant,
-                         sq_dual_invariant, window_from_package)
-from .operads import (act, check_d_squared, compose_i, differential, render,  # noqa: F401,E402
-                      single)
-from .simplicial import FaceRef, SimplicialSet, front_back_faces, normalized_chains, parse_sset  # noqa: F401,E402
-from .transfer import TransferPackage, compare_structures, transfer, verify_relations  # noqa: F401,E402
-from .formats import fixture_path, list_fixtures, load_structure_fixture  # noqa: F401,E402

@@ -3,32 +3,24 @@
 Reports are JSON with deterministic key order: identical input and flags
 produce byte-identical output.  Every error path exits nonzero after
 printing a machine-readable report naming the violated precondition.
+
+Each command imports the modules it runs when it runs, so a command loads
+only those: ``invariant`` on a ``.coalg`` window never loads the chain-level
+modules, and ``--help`` loads none.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from . import __version__
-from .chains import bracket_d, compose_slot, transpose_swap
-from .cobar import build_cobar, check_d_squared_cobar, describe_failure, gr_h0_ranks
-from .coalgebra import chain_structure, operator_dump, reduce_structure
-from .errors import BadFlag, EinftyError, RelationViolation
-from .formats import (COALG_FIXTURES, SSET_FIXTURES, fixture_path,
-                      list_fixtures, load_structure_fixture)
-from .homology import build_sdr, homology, sdr_variant
-from .intlinalg import IntMatrix
-from .invariants import (InvariantClass, class_equals, massey_invariant,
-                         sq_dual_invariant, window_from_package)
-from .operads import check_d_squared
-from .simplicial import parse_sset
-from .transfer import transfer, verify_relations
+from .errors import BadFlag, EinftyError, FileAccessError, RelationViolation
 
 
 def _resolve_input(arg: str) -> Path:
+    from .formats import COALG_FIXTURES, SSET_FIXTURES, fixture_path, list_fixtures
     p = Path(arg)
     if p.exists():
         return p
@@ -39,18 +31,24 @@ def _resolve_input(arg: str) -> Path:
 
 
 def _load_sset(path: Path):
-    return parse_sset(path.read_text())
+    from .formats import read_text
+    from .simplicial import parse_sset
+    return parse_sset(read_text(path))
 
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise FileAccessError(out, f"cannot write the report: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _class_report(cls: InvariantClass) -> dict:
+def _class_report(cls) -> dict:
+    """The JSON form of an ``invariants.InvariantClass``."""
     free, torsion = cls.group.invariants()
     return {
         "group": {"free_rank": free, "torsion": torsion},
@@ -61,7 +59,12 @@ def _class_report(cls: InvariantClass) -> dict:
 
 def _window_for(path: Path, max_cup: int):
     if path.suffix == ".coalg":
+        from .formats import load_structure_fixture
         return load_structure_fixture(path)
+    from .coalgebra import chain_structure
+    from .homology import build_sdr
+    from .invariants import window_from_package
+    from .transfer import transfer
     x = _load_sset(path)
     s = chain_structure(x, max_cup)
     pkg = transfer(s, build_sdr(s.complex))
@@ -69,8 +72,7 @@ def _window_for(path: Path, max_cup: int):
 
 
 def cmd_validate(args) -> dict:
-    path = _resolve_input(args.input)
-    x = parse_sset(path.read_text())  # raises on syntax or invariant errors
+    x = _load_sset(_resolve_input(args.input))  # raises on syntax or invariant errors
     return {
         "valid": True,
         "cells": {str(d): len(x.names(d)) for d in sorted(x.simplices)},
@@ -79,13 +81,15 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_homology(args) -> dict:
-    x = _load_sset(_resolve_input(args.input))
+    from .homology import homology
     from .simplicial import normalized_chains
+    x = _load_sset(_resolve_input(args.input))
     rep = homology(normalized_chains(x))
     return {"homology": rep.as_table()}
 
 
 def cmd_coalgebra(args) -> dict:
+    from .coalgebra import chain_structure, operator_dump
     x = _load_sset(_resolve_input(args.input))
     s = chain_structure(x, args.max_cup)
     return {
@@ -96,6 +100,9 @@ def cmd_coalgebra(args) -> dict:
 
 
 def cmd_transfer(args) -> dict:
+    from .coalgebra import chain_structure
+    from .homology import build_sdr
+    from .transfer import transfer, verify_relations
     x = _load_sset(_resolve_input(args.input))
     s = chain_structure(x, args.max_cup)
     sdr = build_sdr(s.complex)
@@ -121,6 +128,8 @@ def cmd_transfer(args) -> dict:
 
 
 def cmd_cobar(args) -> dict:
+    from .coalgebra import chain_structure, reduce_structure
+    from .cobar import build_cobar, check_d_squared_cobar, describe_failure, gr_h0_ranks
     x = _load_sset(_resolve_input(args.input))
     s = chain_structure(x, args.max_cup)
     red = reduce_structure(s)
@@ -136,6 +145,7 @@ def cmd_cobar(args) -> dict:
 
 
 def cmd_invariant(args) -> dict:
+    from .invariants import massey_invariant, sq_dual_invariant
     w = _window_for(_resolve_input(args.input), args.max_cup)
     return {
         "h1_rank": w.h1_rank,
@@ -146,6 +156,7 @@ def cmd_invariant(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
+    from .invariants import class_equals, massey_invariant, sq_dual_invariant
     wa = _window_for(_resolve_input(args.input), args.max_cup)
     wb = _window_for(_resolve_input(args.input_b), args.max_cup)
     sq_eq = class_equals(sq_dual_invariant(wa), sq_dual_invariant(wb))
@@ -154,7 +165,18 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_selfcheck(args) -> dict:
-    from .simplicial import normalized_chains
+    import random
+
+    from .chains import bracket_d, compose_slot, transpose_swap
+    from .coalgebra import chain_structure, reduce_structure
+    from .cobar import build_cobar, check_d_squared_cobar, describe_failure
+    from .formats import SSET_FIXTURES, fixture_path, load_structure_fixture
+    from .homology import build_sdr, homology, sdr_variant
+    from .intlinalg import IntMatrix
+    from .invariants import (class_equals, massey_invariant, sq_dual_invariant,
+                             window_from_package)
+    from .operads import check_d_squared
+    from .transfer import transfer, verify_relations
     rng = random.Random(args.seed)
     checks = []
 
@@ -307,17 +329,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         results = args.fn(args)
+        report = {"command": args.command, "ok": True}
+        if getattr(args, "input", None):
+            report["input"] = args.input
+        if getattr(args, "input_b", None):
+            report["input_b"] = args.input_b
+        report["results"] = results
+        _emit(report, getattr(args, "out", None))
     except EinftyError as exc:
         payload = {"command": args.command, "ok": False, "error": exc.payload()}
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return 1
-    report = {"command": args.command, "ok": True}
-    if getattr(args, "input", None):
-        report["input"] = args.input
-    if getattr(args, "input_b", None):
-        report["input_b"] = args.input_b
-    report["results"] = results
-    _emit(report, getattr(args, "out", None))
     if args.command == "selfcheck" and not results["all_ok"]:
         return 1
     return 0

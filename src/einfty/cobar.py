@@ -153,8 +153,10 @@ def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
                 if odd[digit]:
                     sign = -sign
                 rest = tail
-        keep_mat = IntMatrix(len(keep_codes), len(ws), keep)
-        up_mat = IntMatrix(len(up_codes), len(ws), up)
+        # every entry was set once to a nonzero product, so the dicts are
+        # adopted without a copy
+        keep_mat = IntMatrix._adopt(len(keep_codes), len(ws), keep)
+        up_mat = IntMatrix._adopt(len(up_codes), len(ws), up)
         if not keep_mat.is_zero():
             d_keep[(degree, length)] = keep_mat
         if not up_mat.is_zero():

@@ -120,3 +120,17 @@ class OutsideFragment(EinftyError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"generator {name} has no tabulated differential")
+
+
+class FileAccessError(EinftyError):
+    """An input that cannot be read as UTF-8 text, or a report that cannot
+    be written; ``path`` names the file."""
+
+    def __init__(self, path, reason: str):
+        self.path = str(path)
+        super().__init__(f"{self.path}: {reason}")
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out["path"] = self.path
+        return out

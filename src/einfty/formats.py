@@ -24,7 +24,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import EinftyError, RelationViolation
+from .errors import EinftyError, FileAccessError, RelationViolation
 from .intlinalg import IntMatrix
 from .invariants import InvariantWindow
 
@@ -63,10 +63,21 @@ class CoalgParseError(EinftyError):
         return out
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileAccessError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise FileAccessError(path, f"cannot read: {exc.strerror or exc}") from exc
+
+
 def load_structure_fixture(path: str | Path) -> InvariantWindow:
     """Load and validate a ``.coalg`` window file."""
+    text = read_text(path)
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CoalgParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != "einfty-coalg":

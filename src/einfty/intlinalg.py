@@ -3,12 +3,16 @@
 Everything here works with arbitrary-precision Python ints; there are no
 floating point or modular shortcuts anywhere.  Matrices are stored sparsely
 (dict of (row, col) -> nonzero entry) because chain operators are sparse,
-and the Smith elimination runs over nonzeros only: its working copy is a
-list of sparse rows, so the pivot search, the elimination and the
-divisibility check read nonzero entries alone.  Its pivot order is the
-contract that keeps the transforms stable (see ``smith``), so pivots are
-not reordered for low fill: another order would give different bases to
-every caller that reads the transforms, such as the homology retractions.
+and the Smith elimination runs over nonzeros only.  Its working copy is a
+list of sparse rows, and no step of it walks the remaining rows.  A
+column -> rows index finds the rows holding a column, so a column swap
+touches only those rows.  Each row keeps its smallest |entry| and the gcd of
+its entries, recomputed only after an operation changed the row, so the
+pivot search and the divisibility check read one number per row.  The pivot
+order is the contract that keeps the transforms stable (see ``smith``), so
+pivots are not reordered for low fill: another order would give different
+bases to every caller that reads the transforms, such as the homology
+retractions.
 
 The Smith normal form routine is the workhorse for everything downstream:
 homology, retraction bases, lattice saturation, membership tests and
@@ -19,8 +23,7 @@ solves against one matrix many times factors it once and calls
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Collection, Sequence
 
 
@@ -42,6 +45,14 @@ class IntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.data = {} if data is None else {k: v for k, v in data.items() if v}
+
+    @classmethod
+    def _adopt(cls, nrows: int, ncols: int, data: dict) -> "IntMatrix":
+        """Wrap ``data`` without copying it.  The caller has just built it and
+        guarantees that it is zero-free and that every key is in range."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.data = nrows, ncols, data
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
@@ -220,7 +231,6 @@ def column_vector(entries: Sequence[int]) -> IntMatrix:
 TRANSFORMS = ("u", "v", "uinv", "vinv")
 
 
-@dataclass
 class SmithForm:
     """Decomposition ``U @ M @ V == S`` with S diagonal and U, V unimodular.
 
@@ -229,11 +239,11 @@ class SmithForm:
     the transforms asked of ``smith`` are built; the others are None.
     """
 
-    s: IntMatrix
-    u: IntMatrix | None = None
-    v: IntMatrix | None = None
-    uinv: IntMatrix | None = None
-    vinv: IntMatrix | None = None
+    __slots__ = ("s",) + TRANSFORMS
+
+    def __init__(self, s: IntMatrix, u: IntMatrix | None = None, v: IntMatrix | None = None,
+                 uinv: IntMatrix | None = None, vinv: IntMatrix | None = None):
+        self.s, self.u, self.v, self.uinv, self.vinv = s, u, v, uinv, vinv
 
     @property
     def rank(self) -> int:
@@ -330,6 +340,17 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
     cleared by one unimodular gcd step (which never occurs on a block whose
     pivots divide their row and column), so coefficients stay bounded.
 
+    None of these choices walks the remaining rows.  Each row keeps its
+    smallest |entry| and the gcd of its entries, built when first needed and
+    then recomputed only for the rows an operation changed.  The pivot row
+    is row t when that holds a unit, and otherwise the first row whose
+    minimum is least, found by a search of the list of minima; the first
+    offending row is looked for only when the gcd of the remaining rows'
+    contents shows that one exists.  A column -> rows index, which
+    operations only add to and whose readers skip the rows that no longer
+    hold the column, gives the rows to clear below the pivot and the only
+    rows a column swap touches.
+
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> sf = smith(m)
     >>> sf.invariant_factors()
@@ -346,35 +367,67 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
         raise ValueError(f"unknown Smith transforms {sorted(unknown)}")
     nr, nc = m.nrows, m.ncols
     a: list[dict[int, int]] = [{} for _ in range(nr)]
+    # held[j] lists every row with an entry in column j.  It may list a row
+    # twice, or a row whose entry there has since cancelled or moved away:
+    # readers keep the distinct rows that hold the column.
+    held: list[list[int]] = [[] for _ in range(nc)]
     for (i, j), x in m.data.items():
         a[i][j] = x
+        held[j].append(i)
+    # per row: its smallest |entry| (inf when empty) and the gcd of its
+    # entries.  Each list is built when first read; after that, ``refresh``
+    # brings the rows in ``changed`` up to date.
+    low: list | None = None
+    content: list[int] | None = None
+    changed: set[int] = set()
     # u and vinv only ever see row operations, v and uinv only column
     # operations: keep the first two as row dicts, the last two as column
     # dicts, so that every update is one sparse axpy or a swap of two entries.
     u, v, uinv, vinv = ([{k: 1} for k in range(n)] if name in transforms else None
                         for name, n in zip(TRANSFORMS, (nr, nc, nr, nc)))
-    row_side = [x for x in (a, u) if x is not None]
 
     # A row op acts on a and u; uinv gets the inverse column op.  A column op
     # acts on the columns of a and v; vinv gets the inverse row op.
     def row_add(i, k, q):
         """row_i += q * row_k"""
-        for x in row_side:
-            _axpy(x[i], x[k], q)
+        ai = a[i]
+        for j, x in a[k].items():
+            y = ai.get(j)
+            if y is None:
+                ai[j] = q * x
+                held[j].append(i)
+            else:
+                y += q * x
+                if y:
+                    ai[j] = y
+                else:
+                    del ai[j]
+        changed.add(i)
+        if u is not None:
+            _axpy(u[i], u[k], q)
         if uinv is not None:
             _axpy(uinv[k], uinv[i], -q)
 
     def row_mix(t, i, al, be, ga, de):
         """(row_t, row_i) <- [[al, be], [ga, de]] (row_t, row_i), determinant 1"""
-        for x in row_side:
-            x[t], x[i] = _mix(x[t], x[i], al, be, ga, de)
+        a[t], a[i] = _mix(a[t], a[i], al, be, ga, de)
+        if u is not None:
+            u[t], u[i] = _mix(u[t], u[i], al, be, ga, de)
         if uinv is not None:
             uinv[t], uinv[i] = _mix(uinv[t], uinv[i], de, -ga, -be, al)
+        for r in (t, i):
+            for j in a[r]:
+                held[j].append(r)
+            changed.add(r)
 
     def row_swap(i, k):
         for x in (a, u, uinv):
             if x is not None:
                 x[i], x[k] = x[k], x[i]
+        for r in (i, k):
+            for j in a[r]:
+                held[j].append(r)
+            changed.add(r)
 
     def row_negate(t):
         for x in (a, u, uinv):
@@ -382,18 +435,24 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
                 x[t] = {k: -y for k, y in x[t].items()}
 
     def holders(j, start):
-        """The rows from ``start`` on with an entry in column j."""
-        return [r for r in range(start, nr) if j in a[r]]
+        """The rows from ``start`` on with an entry in column j, in order."""
+        return sorted({r for r in held[j] if r >= start and j in a[r]})
 
     def col_add(j, k, q, rows):
         """col_j += q * col_k, where ``rows`` hold every entry of col_k"""
+        hj = held[j]
         for r in rows:
             ar = a[r]
-            y = ar.get(j, 0) + q * ar[k]
-            if y:
-                ar[j] = y
+            x = q * ar[k]
+            y = ar.get(j)
+            if y is None:
+                ar[j] = x
+                hj.append(r)
+            elif y + x:
+                ar[j] = y + x
             else:
-                ar.pop(j, None)
+                del ar[j]
+        changed.update(rows)
         if v is not None:
             _axpy(v[j], v[k], q)
         if vinv is not None:
@@ -408,37 +467,58 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
             e, f = al * x + be * y, ga * x + de * y
             if e:
                 ar[t] = e
+                held[t].append(r)
             if f:
                 ar[j] = f
+                held[j].append(r)
+        changed.update(rows)
         if v is not None:
             v[t], v[j] = _mix(v[t], v[j], al, be, ga, de)
         if vinv is not None:
             vinv[t], vinv[j] = _mix(vinv[t], vinv[j], de, -ga, -be, al)
 
     def col_swap(j, t):
-        for r in range(t, nr):
+        # a row's minimum and content do not change
+        for r in {*held[j], *held[t]}:
             ar = a[r]
-            x, y = ar.pop(t, 0), ar.pop(j, 0)
-            if x:
+            x, y = ar.pop(t, None), ar.pop(j, None)
+            if x is not None:
                 ar[j] = x
-            if y:
+            if y is not None:
                 ar[t] = y
+        held[j], held[t] = held[t], held[j]
         for x in (v, vinv):
             if x is not None:
                 x[j], x[t] = x[t], x[j]
 
+    def refresh():
+        nonlocal low
+        if low is None:
+            low = [min(map(abs, r.values())) if r else inf for r in a]
+        else:
+            for r in changed:
+                ar = a[r]
+                low[r] = min(map(abs, ar.values())) if ar else inf
+                if content is not None:
+                    content[r] = gcd(*ar.values())
+        changed.clear()
+
     def pivot_position(t):
-        # Rows from t on are zero left of column t.
-        best, pos = None, None
-        for i in range(t, nr):
-            ai = a[i]
-            if ai:
-                x = min(map(abs, ai.values()))
-                if best is None or x < best:
-                    best, pos = x, (i, min(j for j, y in ai.items() if abs(y) == x))
-                    if x == 1:
-                        break
-        return pos
+        # Rows from t on are zero left of column t.  A unit in row t is the
+        # pivot whatever the other rows hold.
+        at = a[t]
+        if at and min(map(abs, at.values())) == 1:
+            return t, min(j for j, y in at.items() if abs(y) == 1)
+        refresh()
+        try:
+            pi, best = low.index(1, t), 1
+        except ValueError:
+            rest = low[t:]
+            best = min(rest)
+            if best == inf:
+                return None
+            pi = t + rest.index(best)
+        return pi, min(j for j, y in a[pi].items() if abs(y) == best)
 
     t = 0
     bound = min(nr, nc)
@@ -481,20 +561,29 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
         # fold the first offending row into row t and redo this step.
         p = a[t][t]
         if p != 1:
-            offender = next((i for i in range(t + 1, nr)
-                             if any(x % p for x in a[i].values())), None)
-            if offender is not None:
-                row_add(t, offender, 1)
+            refresh()
+            if content is None:
+                content = [gcd(*r.values()) for r in a]
+            if gcd(*content[t + 1:]) % p:
+                row_add(t, next(i for i in range(t + 1, nr) if content[i] % p), 1)
                 continue
+        held[t] = None  # column t is done: nothing reads or extends its index
         t += 1
 
     def matrix(vecs, as_rows):
+        """The matrix with these rows (or columns), entries in row-major order."""
         n = len(vecs)
-        data = ({(i, j): x for i, vec in enumerate(vecs) for j, x in vec.items()} if as_rows
-                else {(i, j): x for j, vec in enumerate(vecs) for i, x in vec.items()})
-        return IntMatrix(n, n, dict(sorted(data.items())))
+        if as_rows:
+            return IntMatrix._adopt(n, n, {(i, j): vec[j] for i, vec in enumerate(vecs)
+                                           for j in sorted(vec)})
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
+        for j, vec in enumerate(vecs):
+            for i, x in vec.items():
+                rows[i][j] = x
+        return IntMatrix._adopt(n, n, {(i, j): x for i, row in enumerate(rows)
+                                       for j, x in row.items()})
 
-    s = IntMatrix(nr, nc, {(i, i): a[i][i] for i in range(t)})
+    s = IntMatrix._adopt(nr, nc, {(i, i): a[i][i] for i in range(t)})
     return SmithForm(s, *(None if x is None else matrix(x, as_rows)
                           for x, as_rows in zip((u, v, uinv, vinv), (True, False, False, True))))
 

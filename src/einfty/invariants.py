@@ -21,7 +21,6 @@ reduction -- nothing is computed modulo a prime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -30,16 +29,14 @@ from .intlinalg import (IntMatrix, SmithForm, column_span_saturation, column_vec
                         smith)
 
 
-@dataclass
 class FpAbelianGroup:
     """Cokernel presentation: Z^ambient_rank modulo the column span."""
 
-    ambient_rank: int
-    relations: IntMatrix = field(repr=False)
-
-    def __post_init__(self):
-        if self.relations.nrows != self.ambient_rank:
+    def __init__(self, ambient_rank: int, relations: IntMatrix):
+        if relations.nrows != ambient_rank:
             raise ShapeMismatch("relation matrix does not match ambient rank")
+        self.ambient_rank = ambient_rank
+        self.relations = relations
 
     @cached_property
     def factored(self) -> SmithForm:
@@ -63,10 +60,14 @@ class FpAbelianGroup:
         return {"free_rank": free, "torsion": torsion}
 
 
-@dataclass
 class InvariantClass:
-    group: FpAbelianGroup
-    representative: tuple[int, ...]
+    """A class in ``group``, given by the coordinates of a representative."""
+
+    __slots__ = ("group", "representative")
+
+    def __init__(self, group: FpAbelianGroup, representative: tuple[int, ...]):
+        self.group = group
+        self.representative = representative
 
     def is_zero(self) -> bool:
         return self.group.is_zero_class(list(self.representative))
@@ -100,15 +101,18 @@ def _bracket_with_left(m: int, i: int, w: list[int]) -> list[int]:
     return out
 
 
-@dataclass
 class LieLattice:
     """Integral bracket lattices inside the tensor powers of H1, with the
     factorization of ``degree3`` that every coordinate solve reuses."""
 
-    h1_rank: int
-    degree2: IntMatrix = field(repr=False)   # m^2 x C(m,2)
-    degree3: IntMatrix = field(repr=False)   # m^3 x (m(m^2-1)/3), primitive
-    degree3_smith: SmithForm = field(repr=False)
+    __slots__ = ("h1_rank", "degree2", "degree3", "degree3_smith")
+
+    def __init__(self, h1_rank: int, degree2: IntMatrix, degree3: IntMatrix,
+                 degree3_smith: SmithForm):
+        self.h1_rank = h1_rank
+        self.degree2 = degree2              # m^2 x C(m,2)
+        self.degree3 = degree3              # m^3 x (m(m^2-1)/3), primitive
+        self.degree3_smith = degree3_smith
 
     @property
     def rank2(self) -> int:
@@ -145,21 +149,22 @@ def lie_lattice(m: int) -> LieLattice:
 
 # -- the invariant window -------------------------------------------------------
 
-@dataclass
 class InvariantWindow:
     """The H1/H2 components that the invariants consume."""
 
-    h1_rank: int
-    h2_rank: int
-    comul: IntMatrix = field(repr=False)    # m^2 x r, antisymmetric columns
-    sq: IntMatrix = field(repr=False)       # m^2 x m, symmetric columns
-    triple: IntMatrix = field(repr=False)   # m^3 x r
+    __slots__ = ("h1_rank", "h2_rank", "comul", "sq", "triple")
 
-    def __post_init__(self):
-        m, r = self.h1_rank, self.h2_rank
-        if self.comul.shape != (m * m, r) or self.sq.shape != (m * m, m) \
-                or self.triple.shape != (m ** 3, r):
+    def __init__(self, h1_rank: int, h2_rank: int, comul: IntMatrix, sq: IntMatrix,
+                 triple: IntMatrix):
+        m, r = h1_rank, h2_rank
+        if comul.shape != (m * m, r) or sq.shape != (m * m, m) \
+                or triple.shape != (m ** 3, r):
             raise ShapeMismatch("window matrices have inconsistent shapes")
+        self.h1_rank = h1_rank
+        self.h2_rank = h2_rank
+        self.comul = comul      # m^2 x r, antisymmetric columns
+        self.sq = sq            # m^2 x m, symmetric columns
+        self.triple = triple    # m^3 x r
 
     def validate(self) -> list[str]:
         m = self.h1_rank

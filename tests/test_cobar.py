@@ -223,14 +223,15 @@ def test_negated_keep_entry_is_named(pick):
 
 
 def _run_cli(monkeypatch, argv):
-    real = cli.build_cobar
+    # the commands import build_cobar from einfty.cobar when they run
+    real = cobar.build_cobar
 
     def tampering(structure, max_len):
         t = real(structure, max_len)
         hit = _negate_keep_entry(t)
         return t if hit is None else hit[0]
 
-    monkeypatch.setattr(cli, "build_cobar", tampering)
+    monkeypatch.setattr(cobar, "build_cobar", tampering)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)

@@ -1,10 +1,13 @@
 """Fixture files, the .coalg format, and the command-line interface."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import einfty
 from einfty.cli import main
 from einfty.errors import RelationViolation
 from einfty.formats import (CoalgParseError, fixture_path, list_fixtures,
@@ -169,3 +172,74 @@ def test_cli_rejects_bad_flags(argv, flag, minimum):
     assert error["error"] == "BadFlag"
     assert (error["flag"], error["minimum"]) == (flag, minimum)
     assert error["value"] == int(argv[-1])
+
+
+def _file_error(*argv):
+    out, err = run_cli(*argv, expect=1)
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["ok"] is False
+    error = payload["error"]
+    assert error["error"] == "FileAccessError"
+    return error
+
+
+def test_cli_input_directory_is_a_named_error(tmp_path):
+    error = _file_error("homology", str(tmp_path))
+    assert error["path"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("command,name", [("validate", "bad.sset"),
+                                          ("invariant", "bad.coalg")])
+def test_cli_non_utf8_input_is_a_named_error(tmp_path, command, name):
+    p = tmp_path / name
+    p.write_bytes(b"dim 0\nv: \xff\xfe\n")
+    error = _file_error(command, str(p))
+    assert error["path"] == str(p)
+    assert "not UTF-8" in error["message"]
+
+
+def test_cli_out_into_missing_directory_is_a_named_error(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    assert _file_error("homology", "circle", "--out", str(target))["path"] == str(target)
+    assert not target.parent.exists()
+
+
+# modules a command must not load: the chain-level layers and dataclasses
+CHAIN_LEVEL = {"einfty.chains", "einfty.coalgebra", "einfty.operads", "einfty.simplicial",
+               "einfty.homology", "einfty.transfer", "einfty.cobar", "dataclasses"}
+
+
+def _modules_loaded(*argv):
+    """The modules a fresh interpreter has loaded after running the command,
+    minus those loaded before the package was imported."""
+    code = ("import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "before = set(sys.modules)\n"
+            "from einfty.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(sys.argv[1:])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(einfty.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [("invariant", "borromean"),
+                                  ("compare", "borromean", "zero")])
+def test_coalg_commands_load_no_chain_level_module(argv):
+    loaded = _modules_loaded(*argv)
+    assert "einfty.invariants" in loaded
+    assert not loaded & CHAIN_LEVEL
+
+
+def test_help_loads_only_cli_and_errors():
+    loaded = _modules_loaded("--help")
+    assert {m for m in loaded if m.startswith("einfty.")} == {"einfty.cli", "einfty.errors"}

@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith form against an independent minor-gcd oracle,
-and against the dense elimination whose pivot sequence it keeps."""
+against the dense elimination whose pivot sequence it keeps, and against the
+row-walking sparse elimination whose every step it repeats."""
 import ast
 import doctest
 import os
@@ -24,6 +25,7 @@ from einfty.invariants import (InvariantWindow, class_equals, lie_lattice,
                                massey_invariant, sq_dual_invariant)
 
 from dense_smith_oracle import RemainderStep, dense_smith
+from sparse_smith_oracle import sparse_smith
 
 
 def minors_gcd_invariant_factors(rows):
@@ -120,14 +122,16 @@ def test_smith_postconditions_on_wide_entries(rows):
     assert_smith_form(m, smith(m))
 
 
+# the remainder-and-swap Euclid pass grew the working copy of this matrix
+# past 12 million bits at pivot 4 and did not finish in 300 s
+REGRESSION_7X6 = IntMatrix(7, 6, {
+    (0, 0): -4, (0, 1): 4, (0, 5): 6, (1, 0): -3, (1, 4): -8, (1, 5): -7, (2, 1): 6,
+    (2, 3): 3, (3, 0): -5, (3, 1): 6, (3, 2): 7, (3, 3): 6, (3, 4): 7, (4, 0): -7,
+    (4, 1): 1, (4, 3): 8, (5, 2): 5, (5, 3): -2, (5, 4): 9, (6, 3): 7, (6, 5): -6})
+
+
 def test_smith_finishes_where_remainder_swaps_blew_up():
-    # the remainder-and-swap Euclid pass grew this working copy past 12
-    # million bits at pivot 4 and did not finish in 300 s
-    m = IntMatrix(7, 6, {(0, 0): -4, (0, 1): 4, (0, 5): 6, (1, 0): -3, (1, 4): -8,
-                         (1, 5): -7, (2, 1): 6, (2, 3): 3, (3, 0): -5, (3, 1): 6,
-                         (3, 2): 7, (3, 3): 6, (3, 4): 7, (4, 0): -7, (4, 1): 1,
-                         (4, 3): 8, (5, 2): 5, (5, 3): -2, (5, 4): 9, (6, 3): 7,
-                         (6, 5): -6})
+    m = REGRESSION_7X6
     sf = smith(m)
     assert_smith_form(m, sf)
     assert sf.invariant_factors() == minors_gcd_invariant_factors(m.to_rows()) == [1] * 5 + [24]
@@ -152,6 +156,49 @@ def test_sparse_smith_repeats_the_dense_elimination(rows):
     for name in ("s",) + TRANSFORMS:
         assert getattr(sparse, name) == getattr(dense, name)
         assert list(getattr(sparse, name).data) == list(getattr(dense, name).data)
+
+
+def assert_same_elimination(m):
+    """S and all four transforms of ``smith`` equal those of the row-walking
+    elimination, entry for entry and in the same entry order."""
+    got, want = smith(m), sparse_smith(m)
+    for name in ("s",) + TRANSFORMS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape
+        assert list(x.data.items()) == list(y.data.items())
+
+
+# tall and sparse with even entries only, like the Massey relations: no unit
+# pivot, so every step runs the divisibility check and many fold a row
+tall_even = st.integers(2, 30).flatmap(
+    lambda n: st.integers(1, n).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 0, 2, -2, 4]), min_size=c, max_size=c),
+            min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrix, matrices(10, st.integers(-100, 100)),
+                 matrices(10, st.one_of(st.just(0), st.integers(-2, 2))), tall_even))
+@example(REGRESSION_7X6.to_rows())
+@example([[0, -2, 0], [-2, 1, 2], [0, -2, 2]])
+@example([[2, -2, 1, 0], [0, 0, -2, 0], [0, 0, 0, 0], [1, 0, -2, 0]])
+def test_smith_repeats_the_row_walking_elimination(rows):
+    # wide entries take gcd steps and folds, which the dense oracle cannot
+    # follow; the row-walking elimination makes every choice by a plain scan
+    assert_same_elimination(IntMatrix.from_rows(rows))
+
+
+def test_smith_repeats_the_row_walking_elimination_on_massey_relations():
+    # 120 x 168, 252 entries of +-2, every invariant factor 2
+    m = 4
+    pairs = list(combinations(range(m), 2))
+    comul = IntMatrix.from_columns(
+        [[2 * x for x in invariants._bracket2(m, i, j)] for i, j in pairs], nrows=m * m)
+    relations = invariants.massey_group(m, len(pairs), comul).relations
+    assert relations.shape == (120, 168)
+    assert smith(relations, ()).invariant_factors() == [2] * 120
+    assert_same_elimination(relations)
 
 
 def test_derive_arity3_prints_the_frozen_table():
