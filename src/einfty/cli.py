@@ -262,70 +262,60 @@ def _check_flags(args) -> None:
                       "word lengths below it are reported, length 0 included")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler), in the order ``--help`` lists them
+_COMMANDS = {
+    "validate": ("check a simplicial-set file", cmd_validate),
+    "homology": ("integral homology table", cmd_homology),
+    "coalgebra": ("chain-level operators and relations", cmd_coalgebra),
+    "transfer": ("structure on homology via a retraction", cmd_transfer),
+    "cobar": ("word-length graded ranks of H0 of the cobar construction", cmd_cobar),
+    "invariant": ("dual Steenrod square and dual triple Massey classes", cmd_invariant),
+    "compare": ("decide equality of the invariant classes of two inputs", cmd_compare),
+    "selfcheck": ("run the bundled verification battery", cmd_selfcheck),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every command's subparser, or only that of
+    ``command`` when it names one.  The usage line lists all commands
+    either way, so a usage error prints the same text."""
     ap = argparse.ArgumentParser(
         prog="einfty",
         description="Exact coalgebra structures on simplicial chains: "
                     "homology transfer, cobar construction, invariants.")
     ap.add_argument("--version", action="version", version=f"einfty {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, input_b=False):
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    listing = {} if len(names) > 1 else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = ap.add_subparsers(dest="command", required=True, **listing)
+    for name in names:
+        help_text, fn = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        if name == "selfcheck":
+            p.add_argument("--seed", type=int, default=0, metavar="S")
+            p.add_argument("--max-cup", type=int, default=3, metavar="K")
+            p.add_argument("--max-len", type=int, default=4, metavar="N")
+            p.add_argument("--out", metavar="PATH")
+            continue
         p.add_argument("input", help="path to a .sset/.coalg file or a bundled "
                                      "fixture name")
-        if input_b:
+        if name == "compare":
             p.add_argument("input_b", help="second input for the comparison")
         p.add_argument("--max-cup", type=int, default=3, metavar="K",
                        help="highest cup coproduct to build (default 3)")
         p.add_argument("--out", metavar="PATH", help="write the report here "
                                                      "instead of stdout")
-
-    p = sub.add_parser("validate", help="check a simplicial-set file")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("homology", help="integral homology table")
-    common(p)
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("coalgebra", help="chain-level operators and relations")
-    common(p)
-    p.set_defaults(fn=cmd_coalgebra)
-
-    p = sub.add_parser("transfer", help="structure on homology via a retraction")
-    common(p)
-    p.set_defaults(fn=cmd_transfer)
-
-    p = sub.add_parser("cobar", help="word-length graded ranks of H0 of the "
-                                     "cobar construction")
-    common(p)
-    p.add_argument("--max-len", type=int, default=4, metavar="N",
-                   help="word-length truncation (default 4); lengths up to "
-                        "N-1 are reported")
-    p.set_defaults(fn=cmd_cobar)
-
-    p = sub.add_parser("invariant", help="dual Steenrod square and dual triple "
-                                         "Massey classes")
-    common(p)
-    p.set_defaults(fn=cmd_invariant)
-
-    p = sub.add_parser("compare", help="decide equality of the invariant "
-                                       "classes of two inputs")
-    common(p, input_b=True)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("selfcheck", help="run the bundled verification battery")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--max-cup", type=int, default=3, metavar="K")
-    p.add_argument("--max-len", type=int, default=4, metavar="N")
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(fn=cmd_selfcheck)
-
+        if name == "cobar":
+            p.add_argument("--max-len", type=int, default=4, metavar="N",
+                           help="word-length truncation (default 4); lengths up to "
+                                "N-1 are reported")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_flags(args)
         results = args.fn(args)

@@ -241,6 +241,42 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
     return total
 
 
+def _expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
+    """One basis image of ``op`` as [coefficient, word] pairs, the words
+    spelled in cell labels ("1" for the empty word)."""
+    labels = op.target.labels
+    return [[v, "(x)".join(str(labels(e)[i]) for e, i in word) or "1"]
+            for v, word in op.image_of(d, idx)]
+
+
+def bracket_mismatch(relation: str, got: GradedOperator, want: GradedOperator) -> dict:
+    """A failed identity ``got == want``, named at the first source degree
+    and basis element where the two differ, with both images.
+
+    Meant for the failure path only: it walks the images until they differ.
+    """
+    for d in sorted(set(got.blocks) | set(want.blocks)):
+        have, need = got.images(d), want.images(d)
+        for idx in sorted(set(have) | set(need)):
+            if have.get(idx) != need.get(idx):
+                element = str(got.source.labels(d)[idx])
+                expected, actual = _expansion(want, d, idx), _expansion(got, d, idx)
+                spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0"
+                         for terms in (expected, actual)]
+                return {"relation": relation,
+                        "detail": f"degree {d}, {element}: expected {spell[0]}, "
+                                  f"got {spell[1]}",
+                        "degree": d, "element": element,
+                        "expected": expected, "actual": actual}
+    return {"relation": relation, "detail": "operators differ in shape"}
+
+
+def violation(entry: dict) -> RelationViolation:
+    """The error for a failed-relation entry of ``verify``-style reports."""
+    fields = {k: v for k, v in entry.items() if k not in ("relation", "detail")}
+    return RelationViolation(entry["relation"], entry.get("detail", ""), fields)
+
+
 class CoalgebraStructure:
     """Complex with an operator for each fragment generator in scope."""
 
@@ -253,7 +289,7 @@ class CoalgebraStructure:
         if check:
             bad = self.verify()
             if bad:
-                raise RelationViolation(bad[0]["relation"], bad[0].get("detail", ""))
+                raise violation(bad[0])
 
     def op(self, name: str) -> GradedOperator:
         return self.ops[name]
@@ -262,7 +298,12 @@ class CoalgebraStructure:
         return sorted(self.ops)
 
     def verify(self) -> list[dict]:
-        """Check every structure relation as an exact matrix identity."""
+        """Check every structure relation as an exact matrix identity.
+
+        A failed bracket identity names the first source degree and basis
+        element where [d, op] differs from its required value, with both
+        image expansions (see ``bracket_mismatch``).
+        """
         bad = []
         c = self.complex
         for name in sorted(self.ops):
@@ -273,7 +314,7 @@ class CoalgebraStructure:
                             chain_ops=self.ops)
             got = bracket_d(self.ops[name])
             if got != want:
-                bad.append({"relation": f"[d, {name}]", "detail": "bracket mismatch"})
+                bad.append(bracket_mismatch(f"[d, {name}]", got, want))
         if not self.reduced:
             delta0 = self.ops["m2_0"]
             ident = identity_operator(c)

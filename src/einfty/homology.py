@@ -11,19 +11,18 @@ nose, no post-normalization needed:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chains import (ChainComplex, GradedOperator, boundary_operator,
                      identity_operator, plain_compose)
 from .errors import TorsionPresent
 from .intlinalg import IntMatrix, smith, solve
 
 
-@dataclass
 class HomologyReport:
-    free_rank: dict[int, int]
-    torsion: dict[int, list[int]]
-    representatives: dict[int, IntMatrix] = field(repr=False)
+    def __init__(self, free_rank: dict[int, int], torsion: dict[int, list[int]],
+                 representatives: dict[int, IntMatrix]):
+        self.free_rank = free_rank
+        self.torsion = torsion
+        self.representatives = representatives
 
     def rank(self, d: int) -> int:
         return self.free_rank.get(d, 0)
@@ -96,13 +95,13 @@ def homology(c: ChainComplex) -> HomologyReport:
     return HomologyReport(free_rank, torsion, reps)
 
 
-@dataclass
 class SDR:
     """Strong deformation retraction (f, g, h) of a complex onto another."""
 
-    f: GradedOperator   # K -> L, arity 1, degree 0
-    g: GradedOperator   # L -> K, arity 1, degree 0
-    h: GradedOperator   # K -> K, arity 1, degree +1
+    def __init__(self, f: GradedOperator, g: GradedOperator, h: GradedOperator):
+        self.f = f  # K -> L, arity 1, degree 0
+        self.g = g  # L -> K, arity 1, degree 0
+        self.h = h  # K -> K, arity 1, degree +1
 
     @property
     def total(self) -> ChainComplex:

@@ -40,7 +40,6 @@ property of the frozen values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -51,12 +50,28 @@ Monomial = tuple  # (tree, labels)
 Element = dict  # Monomial -> int
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    arity: int
-    degree: int
-    kind: str  # "operad" | "bimodule"
+    __slots__ = ("name", "arity", "degree", "kind")
+
+    def __init__(self, name: str, arity: int, degree: int, kind: str):
+        self.name = name
+        self.arity = arity
+        self.degree = degree
+        self.kind = kind  # "operad" | "bimodule"
+
+    def _key(self) -> tuple:
+        return (self.name, self.arity, self.degree, self.kind)
+
+    def __eq__(self, other):
+        if not isinstance(other, Generator):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Generator({!r}, {!r}, {!r}, {!r})".format(*self._key())
 
 
 _ALIASES = {"d2": "m2_0", "d3": "m3_1"}

@@ -24,23 +24,33 @@ decreasing indices.  Trailing garbage anywhere is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .chains import ChainComplex
 from .errors import SSetParseError, SSetValidationError
 from .intlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
 class FaceRef:
     """Degeneracy word (strictly decreasing) applied to a nondegenerate simplex."""
 
-    word: tuple[int, ...]
-    target: str
+    __slots__ = ("word", "target")
 
-    def __post_init__(self):
-        if any(a <= b for a, b in zip(self.word, self.word[1:])):
-            raise ValueError(f"degeneracy word {self.word} is not strictly decreasing")
+    def __init__(self, word: tuple[int, ...], target: str):
+        if any(a <= b for a, b in zip(word, word[1:])):
+            raise ValueError(f"degeneracy word {word} is not strictly decreasing")
+        self.word = word
+        self.target = target
+
+    def __eq__(self, other):
+        if not isinstance(other, FaceRef):
+            return NotImplemented
+        return self.word == other.word and self.target == other.target
+
+    def __hash__(self):
+        return hash((self.word, self.target))
+
+    def __repr__(self):
+        return f"FaceRef({self.word!r}, {self.target!r})"
 
     def is_degenerate(self) -> bool:
         return bool(self.word)

@@ -21,25 +21,26 @@ just as conforming -- the relation list is the contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chains import (ChainComplex, GradedOperator, bracket_d, compose_slot,
                      plain_compose, tensor_compose, transpose_swap)
-from .coalgebra import CoalgebraStructure, evaluate
-from .errors import RelationViolation, ShapeMismatch
+from .coalgebra import CoalgebraStructure, bracket_mismatch, evaluate, violation
+from .errors import ShapeMismatch
 from .homology import SDR
 from .intlinalg import IntMatrix, solve
 from .operads import generator, generator_differential
 
-@dataclass
+
 class TransferPackage:
     """hat_ops: m2_0, m2_1, m2_2, m3_1 on homology; morphism_ops: f1, f2_1,
     f2_2, f3_2 connecting the chain level to the homology level."""
 
-    source: CoalgebraStructure
-    sdr: SDR
-    hat_ops: dict[str, GradedOperator] = field(repr=False)
-    morphism_ops: dict[str, GradedOperator] = field(repr=False)
+    def __init__(self, source: CoalgebraStructure, sdr: SDR,
+                 hat_ops: dict[str, GradedOperator],
+                 morphism_ops: dict[str, GradedOperator]):
+        self.source = source
+        self.sdr = sdr
+        self.hat_ops = hat_ops
+        self.morphism_ops = morphism_ops
 
     @property
     def homology(self) -> ChainComplex:
@@ -89,7 +90,7 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
     pkg = TransferPackage(source, sdr, hat, morph)
     bad = verify_relations(pkg)
     if bad:
-        raise RelationViolation(bad[0]["relation"], bad[0].get("detail", ""))
+        raise violation(bad[0])
     return pkg
 
 
@@ -184,7 +185,11 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:
-    """Exact verification of the full relation list; empty means conforming."""
+    """Exact verification of the full relation list; empty means conforming.
+
+    A failed bracket identity names the first source degree and basis
+    element where it fails, with the expected and actual expansions.
+    """
     bad: list[dict] = []
     f = pkg.sdr.f
     hat, morph = pkg.hat_ops, pkg.morphism_ops
@@ -217,15 +222,15 @@ def verify_relations(pkg: TransferPackage) -> list[dict]:
                         module_ops=morph, homology_ops=hat)
         got = bracket_d(w)
         if got != want:
-            bad.append({"relation": f"[d, F({name})] = d{name} realized",
-                        "detail": "bracket mismatch"})
+            bad.append(bracket_mismatch(f"[d, F({name})] = d{name} realized", got, want))
     return bad
 
 
-@dataclass
 class StructureComparison:
-    differences: dict[str, GradedOperator]
-    witness: GradedOperator | None
+    def __init__(self, differences: dict[str, GradedOperator],
+                 witness: GradedOperator | None):
+        self.differences = differences
+        self.witness = witness
 
     @property
     def solvable(self) -> bool:

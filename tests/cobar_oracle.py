@@ -1,15 +1,17 @@
 """Reference oracle for ``einfty.cobar.build_cobar`` and its D o D check.
 
 The code below is the cobar construction the package used before it built
-its words in one ``product`` pass and checked D o D column by column: words
-by recursion, blocks accumulated entry by entry in ``IntMatrix``, and the
-check as sums of block products.  ``tests/test_cobar.py`` requires the new
-code to give equal words, blocks and check verdicts.
+its words from codes and its blocks column by column: words as tuples by
+recursion, blocks accumulated entry by entry in ``IntMatrix``, and the
+check as sums of block products.  Only at the end are the words encoded and
+the blocks regrouped into the package's column store, so that
+``tests/test_cobar.py`` can require the package to give equal words,
+blocks and check verdicts.
 """
 from __future__ import annotations
 
 from einfty.coalgebra import CoalgebraStructure
-from einfty.cobar import Letter, TruncatedCobar
+from einfty.cobar import ColumnBlock, Letter, TruncatedCobar
 from einfty.errors import MultipleVertices
 from einfty.intlinalg import IntMatrix
 
@@ -58,27 +60,48 @@ def _gen_words(letters: dict[int, list[int]], degree: int, length: int):
     return out
 
 
+def words(structure: CoalgebraStructure, max_len: int) -> dict[tuple[int, int], list]:
+    """(degree, length) -> the words of that degree <= 2, as letter tuples."""
+    letters = _letters(structure)
+    out: dict[tuple[int, int], list] = {}
+    for degree in (0, 1, 2):
+        for length in range(0, max_len + 1):
+            ws = _gen_words(letters, degree, length)
+            if ws:
+                out[(degree, length)] = ws
+    return out
+
+
+def _code(positions: dict[Letter, int], word: tuple[Letter, ...]) -> int:
+    """The word's letter positions read as base-len(positions) digits."""
+    code = 0
+    for letter in word:
+        code = code * len(positions) + positions[letter]
+    return code
+
+
+def _column_block(mat: IntMatrix) -> ColumnBlock:
+    cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
+    for (r, c), v in mat.data.items():
+        cols[c][r] = v
+    return ColumnBlock(mat.nrows, cols)
+
+
 def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
     """Words of internal degree <= 2 up to the given length, with D blocks."""
     if max_len < 1:
         raise ValueError("word length bound must be >= 1")
     if not structure.reduced:
         raise MultipleVertices(structure.complex.rank(0))
-    letters = _letters(structure)
     bnd, spl = _letter_images(structure)
-    words: dict[tuple[int, int], list] = {}
-    for degree in (0, 1, 2):
-        for length in range(0, max_len + 1):
-            ws = _gen_words(letters, degree, length)
-            if ws:
-                words[(degree, length)] = ws
+    words_ = words(structure, max_len)
     d_keep: dict[tuple[int, int], IntMatrix] = {}
     d_up: dict[tuple[int, int], IntMatrix] = {}
-    for (degree, length), ws in words.items():
+    for (degree, length), ws in words_.items():
         if degree == 0:
             continue
-        keep_index = {w: i for i, w in enumerate(words.get((degree - 1, length), []))}
-        up_index = {w: i for i, w in enumerate(words.get((degree - 1, length + 1), []))}
+        keep_index = {w: i for i, w in enumerate(words_.get((degree - 1, length), []))}
+        up_index = {w: i for i, w in enumerate(words_.get((degree - 1, length + 1), []))}
         keep = IntMatrix(len(keep_index), len(ws))
         up = IntMatrix(len(up_index), len(ws))
         for col, w in enumerate(ws):
@@ -99,13 +122,19 @@ def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
             d_keep[(degree, length)] = keep
         if not up.is_zero():
             d_up[(degree, length)] = up
-    return TruncatedCobar(structure, max_len, words, d_keep, d_up)
+    # the alphabet: every letter of degree <= 2 is a length-1 word
+    letters = sorted(w[0] for (_, length), ws in words_.items() if length == 1 for w in ws)
+    positions = {letter: k for k, letter in enumerate(letters)}
+    return TruncatedCobar(structure, max_len,
+                          {key: [_code(positions, w) for w in ws] for key, ws in words_.items()},
+                          {key: _column_block(m) for key, m in d_keep.items()},
+                          {key: _column_block(m) for key, m in d_up.items()})
 
 
 def _block(t: TruncatedCobar, table: dict, degree: int, length: int) -> IntMatrix:
-    mat = table.get((degree, length))
-    if mat is not None:
-        return mat
+    block = table.get((degree, length))
+    if block is not None:
+        return IntMatrix(block.nrows, len(block.cols), block.data)
     src = t.word_count(degree, length)
     if table is t.d_keep:
         dst = t.word_count(degree - 1, length)

@@ -116,6 +116,29 @@ def test_structure_verifier_catches_defects():
         CoalgebraStructure(s.complex, broken, max_k=2)
 
 
+def test_structure_verifier_names_the_failing_element():
+    # the same defect: the first failing relation is named at its source
+    # degree and cell, with the required and the actual [d, m2_1] image
+    s = chain_structure(torus(), 2)
+    broken = dict(s.ops)
+    bad = s.op("m2_1")
+    block = bad.block(1).copy()
+    block[0, 0] = block[0, 0] + 1
+    broken["m2_1"] = type(bad)(bad.source, bad.target, 2, 1, {**bad.blocks, 1: block})
+    first = CoalgebraStructure(s.complex, broken, max_k=2, check=False).verify()[0]
+    assert first["relation"] == "[d, m2_1]"
+    assert (first["degree"], first["element"]) == (1, "a")
+    assert first["expected"] == []
+    assert first["actual"] == [[1, "v(x)a"], [1, "v(x)b"], [-1, "v(x)c"]]
+    assert first["detail"] == "degree 1, a: expected 0, got +1 v(x)a +1 v(x)b -1 v(x)c"
+    with pytest.raises(RelationViolation) as err:
+        CoalgebraStructure(s.complex, broken, max_k=2)
+    payload = err.value.payload()
+    assert payload["relation"] == "[d, m2_1]"
+    assert (payload["degree"], payload["element"]) == (1, "a")
+    assert payload["actual"] == first["actual"]
+
+
 def test_point_structure():
     s = chain_structure(point(), 3)
     dump = operator_dump(s)

@@ -1,17 +1,18 @@
 """Cobar construction: graded ranks against group-algebra oracles."""
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import cobar_oracle as oracle
 import pytest
 
 from einfty import cli, cobar
-from einfty.cobar import TruncatedCobar, build_cobar, check_d_squared_cobar, gr_h0_ranks
+from einfty.cobar import (ColumnBlock, TruncatedCobar, build_cobar, check_d_squared_cobar,
+                          gr_h0_ranks)
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
 from einfty.errors import MultipleVertices
 from einfty.formats import SSET_FIXTURES, fixture_path
-from einfty.intlinalg import IntMatrix
 from einfty.simplicial import (FaceRef, SimplicialSet, circle, parse_sset, point,
                                projective_plane, sphere, torus, wedge_of_circles)
 
@@ -127,9 +128,9 @@ def test_word_length_filtration():
     t = _cobar(torus(), 4)
     # length-preserving and length-raising blocks only
     for (deg, length) in t.d_keep:
-        assert t.d_keep[(deg, length)].shape[0] == t.word_count(deg - 1, length)
+        assert t.d_keep[(deg, length)].nrows == t.word_count(deg - 1, length)
     for (deg, length) in t.d_up:
-        assert t.d_up[(deg, length)].shape[0] == t.word_count(deg - 1, length + 1)
+        assert t.d_up[(deg, length)].nrows == t.word_count(deg - 1, length + 1)
 
 
 def test_flipped_shift_sign_breaks_d_squared():
@@ -138,7 +139,9 @@ def test_flipped_shift_sign_breaks_d_squared():
     # with a wrong desuspension convention in the derivation signs) is not
     t = _cobar(torus(), 4)
     flipped_up = dict(t.d_up)
-    flipped_up[(2, 2)] = flipped_up[(2, 2)].scale(-1)
+    block = flipped_up[(2, 2)]
+    flipped_up[(2, 2)] = ColumnBlock(block.nrows, [{r: -v for r, v in col.items()}
+                                                   for col in block.cols])
     flipped = TruncatedCobar(t.structure, t.max_len, t.words, t.d_keep,
                              flipped_up)
     report = check_d_squared_cobar(flipped)
@@ -172,54 +175,100 @@ def _verdicts(report):
     return [(r["source"], r["component"], r["ok"]) for r in report]
 
 
-@pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2",))
-def test_cobar_matches_oracle(name):
-    # the one-pass words and column-wise check against the recursive words,
-    # entry-by-entry blocks and block products they replaced
-    if name == "genus2":
-        x = _genus2_surface()
-    else:
-        x = parse_sset(fixture_path(name).read_text())
+def _assert_matches_oracle(x, max_len):
     red = reduce_structure(chain_structure(x, 2))
-    t, want = build_cobar(red, 4), oracle.build_cobar(red, 4)
+    t, want = build_cobar(red, max_len), oracle.build_cobar(red, max_len)
     assert t.words == want.words
+    assert ({key: [t.word(*key, i) for i in range(len(codes))]
+             for key, codes in t.words.items()} == oracle.words(red, max_len))
     assert t.d_keep == want.d_keep
     assert t.d_up == want.d_up
     assert check_d_squared_cobar(t) == oracle.check_d_squared_cobar(want)
 
 
-def _negate_keep_entry(t, pick=0):
-    """Negate a d_keep entry of a degree-2 block that keep.keep sees: the
+@pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2",))
+def test_cobar_matches_oracle(name):
+    # the words from codes and the blocks built column by column against
+    # the recursive words, entry-by-entry blocks and block products they
+    # replaced
+    if name == "genus2":
+        x = _genus2_surface()
+    else:
+        x = parse_sset(fixture_path(name).read_text())
+    _assert_matches_oracle(x, 4)
+
+
+def _relabel(x: SimplicialSet, seed: int) -> SimplicialSet:
+    """The same simplicial set with its cells renamed and reordered."""
+    rng = random.Random(seed)
+    names = [n for d in sorted(x.simplices) for n in x.names(d)]
+    ids = list(range(len(names)))
+    rng.shuffle(ids)
+    new = {n: f"c{i}" for n, i in zip(names, ids)}
+    simplices = {}
+    for d in sorted(x.simplices):
+        cells = [new[n] for n in x.names(d)]
+        rng.shuffle(cells)
+        simplices[d] = cells
+    faces = {new[n]: tuple(FaceRef(f.word, new[f.target]) for f in refs)
+             for n, refs in x.faces.items()}
+    return SimplicialSet(simplices, faces)
+
+
+@pytest.mark.parametrize("name,max_len,seed", [("genus2", 3, 11), ("genus2", 4, 15), ("torus", 4, 12),
+                                               ("wedge3", 4, 13), ("torus", 3, 14)])
+def test_relabelled_cobar_matches_oracle(name, max_len, seed):
+    # a relabelling reorders the alphabet, and with it every code and block
+    x = _genus2_surface() if name == "genus2" else parse_sset(fixture_path(name).read_text())
+    _assert_matches_oracle(_relabel(x, seed), max_len)
+
+
+def _negate_entry(t, table, pick=0):
+    """Negate an entry of a degree-2 block of ``table`` ("keep" or "up") in a
+    row whose degree-1 word has a nonzero length-preserving D: the
     ``pick``-th in column order in the shortest such block.
 
     Returns the tampered cobar and the label of the source word of that
     entry, or None when no degree-2 entry meets a nonzero degree-1 column.
     """
+    blocks = t.d_keep if table == "keep" else t.d_up
+    rise = 0 if table == "keep" else 1
     for length in range(t.max_len + 1):
-        inner, outer = t.d_keep.get((2, length)), t.d_keep.get((1, length))
+        inner, outer = blocks.get((2, length)), t.d_keep.get((1, length + rise))
         if inner is None or outer is None:
             continue
-        hit = {r for r, _ in outer.data}
-        keys = sorted((c, r) for r, c in inner.data if r in hit)
+        keys = [(c, r) for c, col in enumerate(inner.cols) for r in sorted(col)
+                if outer.cols[r]]
         if keys:
             col, row = keys[pick]
-            m = inner.copy()
-            m[row, col] = -m[row, col]
-            d_keep = {**t.d_keep, (2, length): m}
-            tampered = TruncatedCobar(t.structure, t.max_len, t.words, d_keep, t.d_up)
+            cols = list(inner.cols)
+            cols[col] = {**cols[col], row: -cols[col][row]}
+            blocks = {**blocks, (2, length): ColumnBlock(inner.nrows, cols)}
+            d_keep, d_up = (blocks, t.d_up) if table == "keep" else (t.d_keep, blocks)
+            tampered = TruncatedCobar(t.structure, t.max_len, t.words, d_keep, d_up)
             return tampered, cobar.word_label(t, 2, length, col)
     return None
 
 
-@pytest.mark.parametrize("pick", [0, -1])
-def test_negated_keep_entry_is_named(pick):
-    tampered, word = _negate_keep_entry(_cobar(torus(), 4), pick)
+def _assert_named(table, component, pick):
+    tampered, word = _negate_entry(_cobar(torus(), 4), table, pick)
     report = check_d_squared_cobar(tampered)
     assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(tampered))
     bad = [r for r in report if not r["ok"]]
-    assert bad[0]["component"] == "keep.keep"
+    assert bad[0]["component"] == component
     assert bad[0]["word"] == word
     assert bad[0]["expansion"] and all(v for v, _ in bad[0]["expansion"])
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_negated_keep_entry_is_named(pick):
+    _assert_named("keep", "keep.keep", pick)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_negated_up_entry_is_named(pick):
+    # a length-raising entry breaks the mixed component first
+    _assert_named("up", "keep.up + up.keep", pick)
 
 
 def _run_cli(monkeypatch, argv):
@@ -228,7 +277,7 @@ def _run_cli(monkeypatch, argv):
 
     def tampering(structure, max_len):
         t = real(structure, max_len)
-        hit = _negate_keep_entry(t)
+        hit = _negate_entry(t, "keep")
         return t if hit is None else hit[0]
 
     monkeypatch.setattr(cobar, "build_cobar", tampering)
@@ -265,9 +314,10 @@ def test_degree_zero_block_is_named():
     # degree-0 words are cycles; a hand-made block on them must fail, and
     # the entry names the first word it moves
     t = _cobar(torus(), 3)
-    bogus = IntMatrix(1, t.word_count(0, 1), {(0, 1): 1, (0, 2): -2})
+    cols = [{} for _ in range(t.word_count(0, 1))]
+    cols[1], cols[2] = {0: 1}, {0: -2}
     bad = TruncatedCobar(t.structure, t.max_len, t.words, t.d_keep,
-                         {**t.d_up, (0, 1): bogus})
+                         {**t.d_up, (0, 1): ColumnBlock(1, cols)})
     report = check_d_squared_cobar(bad)
     assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(bad))
     entry = report[-1]

@@ -1,14 +1,16 @@
 """Fixture files, the .coalg format, and the command-line interface."""
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import einfty
-from einfty.cli import main
+from einfty.cli import build_parser, main
 from einfty.errors import RelationViolation
 from einfty.formats import (CoalgParseError, fixture_path, list_fixtures,
                             load_structure_fixture)
@@ -16,8 +18,6 @@ from einfty.simplicial import parse_sset, torus
 
 
 def run_cli(*argv, expect=0):
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
@@ -243,3 +243,34 @@ def test_coalg_commands_load_no_chain_level_module(argv):
 def test_help_loads_only_cli_and_errors():
     loaded = _modules_loaded("--help")
     assert {m for m in loaded if m.startswith("einfty.")} == {"einfty.cli", "einfty.errors"}
+
+
+@pytest.mark.parametrize("argv", [("coalgebra", "torus"), ("invariant", "torus"),
+                                  ("cobar", "torus")])
+def test_sset_commands_load_no_dataclasses_or_inspect(argv):
+    loaded = _modules_loaded(*argv)
+    assert "einfty.coalgebra" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def _parse_exit(parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["cobar"], ["cobar", "--help"],
+                                  ["compare", "torus"], ["cobar", "torus", "--bogus"],
+                                  ["selfcheck", "--seed", "x"]])
+def test_usage_text_is_that_of_the_full_parser(monkeypatch, argv):
+    # main builds only the subparser of the command it runs; help and
+    # usage errors must read as with all eight built
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_exit(main, argv) == _parse_exit(build_parser().parse_args, argv)
+
+
+def test_one_command_parser_has_only_that_command():
+    code, _, err = _parse_exit(build_parser("cobar").parse_args, ["homology", "torus"])
+    assert code == 2 and "invalid choice: 'homology'" in err

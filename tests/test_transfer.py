@@ -152,3 +152,22 @@ def test_unsolvable_difference_reported():
     q = TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops)
     cmp = compare_structures(pkg, q)
     assert not cmp.solvable and cmp.witness is None
+
+
+def test_failed_bracket_names_element_and_expansions():
+    # one extra term in F(f2_1) breaks its bracket identity on the triangle
+    # whose boundary meets that term's edge
+    pkg = _package("torus")
+    morph = dict(pkg.morphism_ops)
+    w = morph["f2_1"]
+    block = w.block(1).copy()
+    block[0, 0] = block[0, 0] + 1
+    morph["f2_1"] = GradedOperator(w.source, w.target, 2, 1, {**w.blocks, 1: block})
+    bad = verify_relations(TransferPackage(pkg.source, pkg.sdr, pkg.hat_ops, morph))
+    first = bad[0]
+    assert first["relation"] == "[d, F(f2_1)] = df2_1 realized"
+    assert (first["degree"], first["element"]) == (2, "U")
+    assert first["expected"] == [[1, "h1_0(x)h1_0"], [-1, "h1_1(x)h1_0"]]
+    assert first["actual"] == [[1, "h0_0(x)h2_0"], [1, "h1_0(x)h1_0"], [-1, "h1_1(x)h1_0"]]
+    assert first["detail"] == ("degree 2, U: expected +1 h1_0(x)h1_0 -1 h1_1(x)h1_0, "
+                               "got +1 h0_0(x)h2_0 +1 h1_0(x)h1_0 -1 h1_1(x)h1_0")
