@@ -9,15 +9,22 @@ Sign conventions used throughout the package (all homological):
   position sigma(p), with the Koszul sign of the factor degrees;
 * T = the signed swap on two factors, T(x (x) y) = (-1)^{deg x deg y} y (x) x.
 
-Operators K -> L^{(x) n} are stored blockwise: one integer matrix per source
-degree, written in the induced tensor basis of the target power.  A basis
-word of L^{(x) n} is a tuple of (degree, index) factors, and the words of
-one total degree are ordered lexicographically.  Only ``tensor_complex``
-lists a tensor basis: elsewhere a word's row is computed from the rank
-counts of L by a closed rank/unrank formula, and the differential and the
-slot operators are applied word by word to the nonzero entries only.  Row
-numbers are stable, so equality of operators is literal equality of sparse
-matrices.
+Operators K -> L^{(x) n} are stored by column: for each source degree,
+each source basis element with a nonzero image maps to its image as a
+{word: coefficient} dict.  A basis word of L^{(x) n} is a tuple of
+(degree, index) factors.  Composition, the bracket with d, the signed
+permutations and sums read and write these words directly, and the
+differential is applied word by word to the nonzero entries only.  The
+columns hold no zeros and no empty column or degree, so equality of
+operators is plain dict equality.
+
+Rows appear only at the linear-algebra boundary.  The words of one total
+degree, ordered lexicographically, are the rows of the induced tensor
+basis; ``ChainComplex.word_row`` and ``row_word`` convert between the two
+by a closed rank/unrank formula from the rank counts of L.  Operators are
+built from such matrices (Smith output), ``GradedOperator.blocks`` turns
+them back into matrices for the solvers, and ``tensor_complex``, the one
+place a tensor basis is listed, uses the same rows.
 """
 from __future__ import annotations
 
@@ -206,10 +213,35 @@ def perm_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-class GradedOperator:
-    """Degree-homogeneous operator source -> target^{(x) arity}."""
+Column = dict[TensorKey, int]      # image of one basis element: word -> coeff
+Columns = dict[int, dict[int, Column]]  # source degree -> source index -> column
 
-    __slots__ = ("source", "target", "arity", "degree", "blocks", "_images")
+
+def pruned(acc: Columns) -> Columns:
+    """Drop the zero entries, then the empty columns and degrees."""
+    out: Columns = {}
+    for d, block in acc.items():
+        kept = {}
+        for i, col in block.items():
+            col = {w: v for w, v in col.items() if v}
+            if col:
+                kept[i] = col
+        if kept:
+            out[d] = kept
+    return out
+
+
+class GradedOperator:
+    """Degree-homogeneous operator source -> target^{(x) arity}.
+
+    ``cols`` maps a source degree to the nonzero columns of that degree:
+    source index -> {target word: coefficient}.  It holds no zero entry, no
+    empty column and no empty degree, and it is not modified after
+    construction.  ``blocks`` and ``block`` rank the words into matrices for
+    the linear algebra.
+    """
+
+    __slots__ = ("source", "target", "arity", "degree", "cols")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, arity: int,
                  degree: int, blocks: dict[int, IntMatrix] | None = None):
@@ -217,27 +249,47 @@ class GradedOperator:
         self.target = target
         self.arity = arity
         self.degree = degree
-        self.blocks = {}
-        self._images: dict[int, dict[int, list[tuple[int, TensorKey]]]] = {}
-        if blocks:
-            for d, mat in blocks.items():
-                expected = (target.tensor_rank(arity, d + degree), source.rank(d))
-                if mat.shape != expected:
-                    raise ValueError(
-                        f"block at degree {d} has shape {mat.shape}, expected {expected}"
-                    )
-                if not mat.is_zero():
-                    self.blocks[d] = mat
+        self.cols: Columns = {}
+        for d, mat in (blocks or {}).items():
+            t = d + degree
+            expected = (target.tensor_rank(arity, t), source.rank(d))
+            if mat.shape != expected:
+                raise ValueError(
+                    f"block at degree {d} has shape {mat.shape}, expected {expected}"
+                )
+            block: dict[int, Column] = {}
+            for (r, c), v in mat.data.items():
+                # row r of an arity-1 block is basis element r of degree t
+                word = ((t, r),) if arity == 1 else target.row_word(arity, t, r)
+                block.setdefault(c, {})[word] = v
+            if block:
+                self.cols[d] = block
+
+    @classmethod
+    def _adopt(cls, source: ChainComplex, target: ChainComplex, arity: int,
+               degree: int, cols: Columns) -> "GradedOperator":
+        """Wrap ``cols`` without copying it.  The caller has just built it and
+        guarantees that it holds no zero entry, empty column or degree."""
+        op = cls.__new__(cls)
+        op.source, op.target, op.arity, op.degree, op.cols = (
+            source, target, arity, degree, cols)
+        return op
 
     def block(self, d: int) -> IntMatrix:
-        mat = self.blocks.get(d)
-        if mat is None:
-            return IntMatrix(self.target.tensor_rank(self.arity, d + self.degree),
-                             self.source.rank(d))
-        return mat
+        """Source degree d as a matrix in the ranked basis of the target power."""
+        t = d + self.degree
+        row = self.target.word_row
+        return IntMatrix._adopt(
+            self.target.tensor_rank(self.arity, t), self.source.rank(d),
+            {(row(self.arity, t, w), i): v
+             for i, col in self.cols.get(d, {}).items() for w, v in col.items()})
+
+    @property
+    def blocks(self) -> dict[int, IntMatrix]:
+        return {d: self.block(d) for d in self.cols}
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.cols
 
     def same_shape(self, other: "GradedOperator") -> bool:
         return (self.source is other.source and self.target is other.target
@@ -246,11 +298,7 @@ class GradedOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedOperator):
             return NotImplemented
-        if not (self.source is other.source and self.target is other.target):
-            return False
-        if (self.arity, self.degree) != (other.arity, other.degree):
-            return False
-        return self.blocks == other.blocks
+        return self.same_shape(other) and self.cols == other.cols
 
     def __hash__(self):
         raise TypeError("GradedOperator is not hashable")
@@ -258,9 +306,16 @@ class GradedOperator:
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         if not self.same_shape(other):
             raise ValueError("operator shape mismatch in +")
-        degs = set(self.blocks) | set(other.blocks)
-        return GradedOperator(self.source, self.target, self.arity, self.degree,
-                              {d: self.block(d) + other.block(d) for d in degs})
+        acc: Columns = {}
+        for cols in (self.cols, other.cols):
+            for d, block in cols.items():
+                dst = acc.setdefault(d, {})
+                for i, col in block.items():
+                    out = dst.setdefault(i, {})
+                    for w, v in col.items():
+                        out[w] = out.get(w, 0) + v
+        return GradedOperator._adopt(self.source, self.target, self.arity, self.degree,
+                                     pruned(acc))
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + (-other)
@@ -269,73 +324,59 @@ class GradedOperator:
         return self.scale(-1)
 
     def scale(self, c: int) -> "GradedOperator":
-        return GradedOperator(self.source, self.target, self.arity, self.degree,
-                              {d: m.scale(c) for d, m in self.blocks.items()})
-
-    def images(self, d: int) -> dict[int, list[tuple[int, TensorKey]]]:
-        """Column index of block d: source index -> its image_of expansion.
-
-        Built once per block; blocks are not modified after construction.
-        """
-        cols = self._images.get(d)
-        if cols is None:
-            cols = {}
-            mat = self.blocks.get(d)
-            if mat is not None:
-                t = d + self.degree
-                for (r, c), v in sorted(mat.data.items()):
-                    cols.setdefault(c, []).append(
-                        (v, self.target.row_word(self.arity, t, r)))
-            self._images[d] = cols
-        return cols
+        cols = {d: {i: {w: c * v for w, v in col.items()} for i, col in block.items()}
+                for d, block in self.cols.items()} if c else {}
+        return GradedOperator._adopt(self.source, self.target, self.arity, self.degree,
+                                     cols)
 
     def image_of(self, d: int, idx: int) -> list[tuple[int, TensorKey]]:
-        """Expansion of the image of one source basis element, in word order."""
-        return list(self.images(d).get(idx, ()))
+        """Expansion of the image of one source basis element, in word order
+        (within one total degree, the row order of ``block``)."""
+        return [(v, w) for w, v in sorted(self.cols.get(d, {}).get(idx, {}).items())]
 
     def __repr__(self):
         return (f"GradedOperator(arity={self.arity}, degree={self.degree}, "
-                f"blocks@{sorted(self.blocks)})")
+                f"blocks@{sorted(self.cols)})")
 
 
 def zero_operator(source: ChainComplex, target: ChainComplex, arity: int,
                   degree: int) -> GradedOperator:
-    return GradedOperator(source, target, arity, degree, {})
+    return GradedOperator._adopt(source, target, arity, degree, {})
 
 
 def identity_operator(c: ChainComplex) -> GradedOperator:
-    blocks = {d: IntMatrix.identity(c.rank(d)) for d in c.degrees()}
-    return GradedOperator(c, c, 1, 0, blocks)
+    cols = {d: {i: {((d, i),): 1} for i in range(c.rank(d))} for d in c.degrees()}
+    return GradedOperator._adopt(c, c, 1, 0, cols)
 
 
 def boundary_operator(c: ChainComplex) -> GradedOperator:
-    blocks = {d: c.boundary_matrix(d) for d in c.boundary}
-    return GradedOperator(c, c, 1, -1, blocks)
+    cols: Columns = {}
+    for (d, i), faces in c._faces.items():
+        cols.setdefault(d, {})[i] = {((d - 1, r),): v for r, v in faces}
+    return GradedOperator._adopt(c, c, 1, -1, cols)
 
 
 def bracket_d(f: GradedOperator) -> GradedOperator:
     """[d, f] = d_target o f - (-1)^{deg f} f o d_source."""
-    out: dict[int, IntMatrix] = {}
     sign = -1 if f.degree & 1 else 1
     tgt = f.target
-    src_degrees = set(f.blocks)
-    src_degrees.update(d + 1 for d in f.blocks)
-    src_degrees.update(f.source.boundary.keys())
-    for d in src_degrees:
-        if f.source.rank(d) == 0:
-            continue
-        t = d + f.degree
-        left: dict[tuple[int, int], int] = {}
-        for col, img in f.images(d).items():
-            for v, word in img:
+    acc: Columns = {}
+    for d, block in f.cols.items():
+        dst = acc.setdefault(d, {})
+        for i, col in block.items():
+            out = dst.setdefault(i, {})
+            for word, v in col.items():
                 for s, face in tgt.word_boundary(word):
-                    key = (tgt.word_row(f.arity, t - 1, face), col)
-                    left[key] = left.get(key, 0) + s * v
-        right = f.block(d - 1) @ f.source.boundary_matrix(d)
-        mat = IntMatrix(right.nrows, right.ncols, left) - right.scale(sign)
-        if not mat.is_zero():
-            out[d] = mat
-    return GradedOperator(f.source, f.target, f.arity, f.degree - 1, out)
+                    out[face] = out.get(face, 0) + s * v
+    for (d, i), faces in f.source._faces.items():
+        below = f.cols.get(d - 1)
+        if not below:
+            continue
+        out = acc.setdefault(d, {}).setdefault(i, {})
+        for r, u in faces:
+            for word, v in below.get(r, {}).items():
+                out[word] = out.get(word, 0) - sign * u * v
+    return GradedOperator._adopt(f.source, f.target, f.arity, f.degree - 1, pruned(acc))
 
 
 def plain_compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -344,12 +385,19 @@ def plain_compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
         raise ValueError("plain_compose needs arity-1 inner operator")
     if a.source is not b.target:
         raise ValueError("source/target mismatch in composition")
-    out = {}
-    for d in b.blocks:
-        mat = a.block(d + b.degree) @ b.block(d)
-        if not mat.is_zero():
-            out[d] = mat
-    return GradedOperator(b.source, a.target, a.arity, a.degree + b.degree, out)
+    acc: Columns = {}
+    for d, block in b.cols.items():
+        outer = a.cols.get(d + b.degree)
+        if not outer:
+            continue
+        dst = acc.setdefault(d, {})
+        for i, col in block.items():
+            out = dst.setdefault(i, {})
+            for ((_, j),), v in col.items():
+                for word, u in outer.get(j, {}).items():
+                    out[word] = out.get(word, 0) + u * v
+    return GradedOperator._adopt(b.source, a.target, a.arity, a.degree + b.degree,
+                                 pruned(acc))
 
 
 def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOperator:
@@ -377,36 +425,33 @@ def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOp
         tgt = ops[0].target if ops else unit_complex()
     out_arity = sum(op.arity for op in ops)
     out_degree = b.degree + sum(op.degree for op in ops)
-    blocks: dict[int, IntMatrix] = {}
-    for d in b.blocks:
-        t = d + out_degree
-        acc: dict[tuple[int, int], int] = {}
-        for col, img in b.images(d).items():
-            for coeff, word in img:
+    slots = [(op.cols, op.degree & 1) for op in ops]
+    acc: Columns = {}
+    for d, block in b.cols.items():
+        dst = acc.setdefault(d, {})
+        for i, col in block.items():
+            out = dst.setdefault(i, {})
+            for word, coeff in col.items():
                 # moving op_j past the earlier inputs costs their degrees
-                base_sign = 1
+                sign = coeff
                 running = 0
-                pieces: list[list[tuple[int, TensorKey]]] = []
-                for slot, (e, i) in enumerate(word):
-                    op = ops[slot]
-                    if (op.degree & 1) and (running & 1):
-                        base_sign = -base_sign
+                pieces: list[Column] = []
+                for (cols, odd), (e, j) in zip(slots, word):
+                    if odd and running & 1:
+                        sign = -sign
                     running += e
-                    piece = op.images(e).get(i)
+                    piece = cols.get(e, {}).get(j)
                     if not piece:
                         break
                     pieces.append(piece)
                 else:
-                    stack = [(base_sign * coeff, ())]
+                    stack = [(sign, ())]
                     for piece in pieces:
-                        stack = [(s * v, w + frag) for (s, w) in stack for (v, frag) in piece]
+                        stack = [(s * v, w + frag) for (s, w) in stack
+                                 for frag, v in piece.items()]
                     for s, w in stack:
-                        key = (tgt.word_row(out_arity, t, w), col)
-                        acc[key] = acc.get(key, 0) + s
-        mat = IntMatrix(tgt.tensor_rank(out_arity, t), b.source.rank(d), acc)
-        if not mat.is_zero():
-            blocks[d] = mat
-    return GradedOperator(b.source, tgt, out_arity, out_degree, blocks)
+                        out[w] = out.get(w, 0) + s
+    return GradedOperator._adopt(b.source, tgt, out_arity, out_degree, pruned(acc))
 
 
 def compose_slot(a: GradedOperator, b: GradedOperator, i: int) -> GradedOperator:
@@ -430,22 +475,19 @@ def sigma_twist(perm: Sequence[int], f: GradedOperator) -> GradedOperator:
     """
     if len(perm) != f.arity:
         raise ValueError("permutation length must match arity")
-    blocks = {}
-    for d, mat in f.blocks.items():
-        t = d + f.degree
-        data: dict[tuple[int, int], int] = {}
-        for c, img in f.images(d).items():
-            for v, word in img:
+    if all(p == q for q, p in enumerate(perm)):
+        return f
+    cols: Columns = {}
+    for d, block in f.cols.items():
+        dst = cols[d] = {}
+        for i, col in block.items():
+            out = dst[i] = {}
+            for word, v in col.items():
                 new = [None] * f.arity
                 for p, fac in enumerate(word):
                     new[perm[p]] = fac
-                sign = perm_sign(perm, [fac[0] for fac in word])
-                key = (f.target.word_row(f.arity, t, tuple(new)), c)
-                data[key] = data.get(key, 0) + sign * v
-        out = IntMatrix(mat.nrows, mat.ncols, data)
-        if not out.is_zero():
-            blocks[d] = out
-    return GradedOperator(f.source, f.target, f.arity, f.degree, blocks)
+                out[tuple(new)] = perm_sign(perm, [e for e, _ in word]) * v
+    return GradedOperator._adopt(f.source, f.target, f.arity, f.degree, cols)
 
 
 def transpose_swap(f: GradedOperator) -> GradedOperator:

@@ -22,11 +22,11 @@ through.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
-from .chains import (ChainComplex, GradedOperator, TensorKey, bracket_d,
-                     identity_operator, sigma_twist, tensor_compose, unit_complex,
-                     zero_operator)
+from .chains import (ChainComplex, Columns, GradedOperator, TensorKey, pruned,
+                     bracket_d, identity_operator, sigma_twist, tensor_compose,
+                     unit_complex, zero_operator)
 from .errors import MultipleVertices, RelationViolation
 from .intlinalg import IntMatrix, solve
 from .operads import generator, generator_differential
@@ -66,8 +66,9 @@ def _standard_chain(n: int) -> ChainComplex:
 
 @lru_cache(maxsize=None)
 def _subset_index(n: int, d: int) -> dict[tuple[int, ...], int]:
-    names = standard_simplex(n).names(d)
-    return {tuple(int(ch) for ch in name): i for i, name in enumerate(names)}
+    """Vertex subset -> index among the d-simplices of the standard n-simplex,
+    which ``standard_simplex`` lists in ``combinations`` order."""
+    return {vs: i for i, vs in enumerate(combinations(range(n + 1), d + 1))}
 
 
 def _pair_word(n: int, s1: tuple[int, ...], s2: tuple[int, ...]) -> TensorKey:
@@ -148,21 +149,20 @@ def _twist_vector(c: ChainComplex, n: int, total: int,
 
 def counit(x: SimplicialSet, c: ChainComplex) -> GradedOperator:
     """Arity-0 functional: every vertex goes to 1."""
-    blocks = {}
-    n0 = c.rank(0)
-    if n0:
-        blocks[0] = IntMatrix(1, n0, {(0, j): 1 for j in range(n0)})
-    return GradedOperator(c, unit_complex(), 0, 0, blocks)
+    cols = {0: {j: {(): 1} for j in range(c.rank(0))}} if c.rank(0) else {}
+    return GradedOperator._adopt(c, unit_complex(), 0, 0, cols)
 
 
 def _table_operator(x: SimplicialSet, c: ChainComplex, k: int) -> GradedOperator:
-    blocks: dict[int, IntMatrix] = {}
+    index = {name: i for names in x.simplices.values() for i, name in enumerate(names)}
+    acc: Columns = {}
     for d in c.degrees():
         table = cup_table(k, d)
         if not table:
             continue
-        mat = IntMatrix(c.tensor_rank(2, d + k), c.rank(d))
-        for col, name in enumerate(x.names(d)):
+        block = acc[d] = {}
+        for i, name in enumerate(x.names(d)):
+            col = block[i] = {}
             for coeff, s1, s2 in table:
                 cell1 = x.face_on_vertices(name, s1)
                 if cell1[0]:
@@ -170,13 +170,9 @@ def _table_operator(x: SimplicialSet, c: ChainComplex, k: int) -> GradedOperator
                 cell2 = x.face_on_vertices(name, s2)
                 if cell2[0]:
                     continue
-                d1, d2 = len(s1) - 1, len(s2) - 1
-                word = ((d1, x.index_of(cell1[1])), (d2, x.index_of(cell2[1])))
-                row = c.word_row(2, d + k, word)
-                mat[row, col] = mat[row, col] + coeff
-        if not mat.is_zero():
-            blocks[d] = mat
-    return GradedOperator(c, c, 2, k, blocks)
+                word = ((len(s1) - 1, index[cell1[1]]), (len(s2) - 1, index[cell2[1]]))
+                col[word] = col.get(word, 0) + coeff
+    return GradedOperator._adopt(c, c, 2, k, pruned(acc))
 
 
 def aw_diagonal(x: SimplicialSet, c: ChainComplex | None = None) -> GradedOperator:
@@ -199,7 +195,7 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
              degree: int, chain_ops: dict[str, GradedOperator],
              module_ops: dict[str, GradedOperator] | None = None,
              homology_ops: dict[str, GradedOperator] | None = None) -> GradedOperator:
-    """Realize a fragment element as a matrix operator.
+    """Realize a fragment element as an operator.
 
     Vertices below the bimodule vertex act through ``chain_ops``, the
     bimodule vertex through ``module_ops``, everything above it through
@@ -222,10 +218,10 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
             return identity_operator(target if crossed else source)
         name, children = tree
         vop = pick(name, crossed)
+        if all(child is None for child in children):
+            return vop  # (id (x) ... (x) id) o vop = vop
         crossed2 = crossed or generator(name).kind == "bimodule"
         child_ops = [eval_tree(child, crossed2) for child in children]
-        if not child_ops:
-            return vop
         return tensor_compose(child_ops, vop)
 
     total = zero_operator(source, target, arity, degree)
@@ -255,8 +251,8 @@ def bracket_mismatch(relation: str, got: GradedOperator, want: GradedOperator) -
 
     Meant for the failure path only: it walks the images until they differ.
     """
-    for d in sorted(set(got.blocks) | set(want.blocks)):
-        have, need = got.images(d), want.images(d)
+    for d in sorted(set(got.cols) | set(want.cols)):
+        have, need = got.cols.get(d, {}), want.cols.get(d, {})
         for idx in sorted(set(have) | set(need)):
             if have.get(idx) != need.get(idx):
                 element = str(got.source.labels(d)[idx])
@@ -298,7 +294,7 @@ class CoalgebraStructure:
         return sorted(self.ops)
 
     def verify(self) -> list[dict]:
-        """Check every structure relation as an exact matrix identity.
+        """Check every structure relation as an exact identity of operators.
 
         A failed bracket identity names the first source degree and basis
         element where [d, op] differs from its required value, with both
@@ -364,20 +360,10 @@ def reduce_structure(s: CoalgebraStructure) -> CoalgebraStructure:
     for name, op in s.ops.items():
         if name == "p":
             continue
-        blocks = {}
-        for d, mat in op.blocks.items():
-            if d < 1:
-                continue
-            t = d + op.degree
-            out = IntMatrix(red.tensor_rank(op.arity, t), red.rank(d))
-            for col, img in op.images(d).items():
-                for v, word in img:
-                    if any(e == 0 for (e, _) in word):
-                        continue
-                    out[red.word_row(op.arity, t, word), col] = v
-            if not out.is_zero():
-                blocks[d] = out
-        ops[name] = GradedOperator(red, red, op.arity, op.degree, blocks)
+        acc = {d: {i: {w: v for w, v in col.items() if all(e for e, _ in w)}
+                   for i, col in block.items()}
+               for d, block in op.cols.items() if d >= 1}
+        ops[name] = GradedOperator._adopt(red, red, op.arity, op.degree, pruned(acc))
     return CoalgebraStructure(red, ops, reduced=True, max_k=s.max_k)
 
 

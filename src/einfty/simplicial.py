@@ -152,9 +152,6 @@ class SimplicialSet:
 
     # -- queries ---------------------------------------------------------------
 
-    def vertex_count(self) -> int:
-        return len(self.names(0))
-
     def validate(self) -> list[dict]:
         """All invariant violations; empty list means the data is a simplicial set."""
         report: list[dict] = []
@@ -392,13 +389,18 @@ def projective_plane() -> SimplicialSet:
 
 
 def standard_simplex(n: int) -> SimplicialSet:
-    """Delta^n with subsets of {0..n} as simplex names."""
+    """Delta^n with subsets of {0..n} as simplex names.
+
+    A name lists the vertices, as "013" for n <= 9 and as "0_1_13" from
+    n = 10 on, where run-together digits would be ambiguous.
+    """
     simplices: dict[int, list[str]] = {}
     faces: dict[str, tuple[FaceRef, ...]] = {}
     from itertools import combinations
+    sep = "_" if n >= 10 else ""
 
     def label(vs: tuple[int, ...]) -> str:
-        return "".join(str(v) for v in vs)
+        return sep.join(str(v) for v in vs)
 
     for d in range(n + 1):
         simplices[d] = [label(vs) for vs in combinations(range(n + 1), d + 1)]

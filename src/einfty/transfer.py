@@ -15,14 +15,14 @@ built here is
 
 The side conditions f h = h g = h h = 0 make every Q_k vanish on cycles,
 which is exactly what the h-corrections need; the bracket identities then
-hold on the nose and are re-verified as literal matrix equalities by
+hold on the nose and are re-verified as literal equalities of operators by
 ``verify_relations``.  Any other formula set passing the verifier would be
 just as conforming -- the relation list is the contract.
 """
 from __future__ import annotations
 
 from .chains import (ChainComplex, GradedOperator, bracket_d, compose_slot,
-                     plain_compose, tensor_compose, transpose_swap)
+                     plain_compose, pruned, tensor_compose, transpose_swap)
 from .coalgebra import CoalgebraStructure, bracket_mismatch, evaluate, violation
 from .errors import ShapeMismatch
 from .homology import SDR
@@ -172,16 +172,12 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
                 nu_entries[("xs", s, u, a)] = nu_entries.get(("xs", s, u, a), 0) + y
     if not needed or not nu_entries:
         return None
-    h = hat["m2_0"].source
-    block = IntMatrix(h.tensor_rank(2, 3), h.rank(2))
+    block: dict[int, dict] = {}
     for (kind, s, u, a), val in nu_entries.items():
-        if kind == "sx":
-            word = ((2, u), (1, a))
-        else:
-            word = ((1, a), (2, u))
-        row = h.word_row(2, 3, word)
-        block[row, s] = block[row, s] + val
-    return GradedOperator(h, h, 2, 1, {2: block})
+        word = ((2, u), (1, a)) if kind == "sx" else ((1, a), (2, u))
+        col = block.setdefault(s, {})
+        col[word] = col.get(word, 0) + val
+    return GradedOperator._adopt(h_cx, h_cx, 2, 1, pruned({2: block}))
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:
@@ -258,18 +254,13 @@ def compare_structures(p: TransferPackage, q: TransferPackage) -> StructureCompa
     hp, hq = p.homology, q.homology
     if {d: hp.labels(d) for d in hp.degrees()} != {d: hq.labels(d) for d in hq.degrees()}:
         raise ShapeMismatch("retracts have different homology bases")
-    if {d: m.data for d, m in p.hat_ops["m2_0"].blocks.items()} != \
-            {d: m.data for d, m in q.hat_ops["m2_0"].blocks.items()}:
+    if p.hat_ops["m2_0"].cols != q.hat_ops["m2_0"].cols:
         raise ShapeMismatch("comultiplications disagree; packages not comparable")
     diffs = {}
     for name in ("m2_1", "m2_2", "m3_1"):
-        blocks = {}
-        for d in set(p.hat_ops[name].blocks) | set(q.hat_ops[name].blocks):
-            mat = q.hat_ops[name].block(d) - p.hat_ops[name].block(d)
-            if not mat.is_zero():
-                blocks[d] = mat
-        diffs[name] = GradedOperator(hp, hp, p.hat_ops[name].arity,
-                                     p.hat_ops[name].degree, blocks)
+        a, b = p.hat_ops[name], q.hat_ops[name]
+        # q - p, with q's words read over p's homology basis
+        diffs[name] = GradedOperator._adopt(hp, hp, a.arity, a.degree, b.cols) - a
     d1 = diffs["m2_1"]
     witness_blocks: dict[int, IntMatrix] = {}
     ok = True

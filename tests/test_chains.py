@@ -3,19 +3,21 @@ import random
 from functools import lru_cache
 from itertools import product
 
+import operator_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from models import grid_torus
 
 from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
                            boundary_operator, compose_slot, identity_operator,
                            plain_compose, sigma_twist, tensor_complex,
                            tensor_compose, transpose_swap, unit_complex)
-from einfty.coalgebra import chain_structure
+from einfty.coalgebra import chain_structure, cup_table, reduce_structure
 from einfty.homology import homology
 from einfty.intlinalg import IntMatrix
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, normalized_chains,
-                               point, standard_simplex, torus, wedge_of_circles)
+from einfty.simplicial import (circle, normalized_chains, point, standard_simplex,
+                               torus, wedge_of_circles)
 
 MODELS = {"torus": torus, "delta3": lambda: standard_simplex(3),
           "wedge3": lambda: wedge_of_circles(3)}
@@ -110,31 +112,8 @@ def test_bracket_matches_matrix_formula(name):
             assert got.block(d) == want
 
 
-def _grid_torus(n):
-    """n x n grid torus with two ordered triangles per square."""
-    def v(i, j):
-        return f"v{i % n}_{j % n}"
-
-    simplices = {0: [], 1: [], 2: []}
-    faces = {}
-    for i in range(n):
-        for j in range(n):
-            simplices[0].append(v(i, j))
-            for kind, end in (("h", v(i + 1, j)), ("u", v(i, j + 1)),
-                              ("d", v(i + 1, j + 1))):
-                simplices[1].append(f"{kind}{i}_{j}")
-                faces[f"{kind}{i}_{j}"] = (FaceRef((), end), FaceRef((), v(i, j)))
-            i1, j1 = (i + 1) % n, (j + 1) % n
-            simplices[2] += [f"L{i}_{j}", f"U{i}_{j}"]
-            faces[f"L{i}_{j}"] = tuple(FaceRef((), e) for e in
-                                       (f"u{i1}_{j}", f"d{i}_{j}", f"h{i}_{j}"))
-            faces[f"U{i}_{j}"] = tuple(FaceRef((), e) for e in
-                                       (f"h{i}_{j1}", f"d{i}_{j}", f"u{i}_{j}"))
-    return SimplicialSet(simplices, faces)
-
-
 def test_grid_torus_structure_verifies():
-    s = chain_structure(_grid_torus(4), 3)  # check=True verifies every relation
+    s = chain_structure(grid_torus(4), 3)  # check=True verifies every relation
     assert not s.verify()
     rep = homology(s.complex)
     assert [rep.rank(d) for d in (0, 1, 2)] == [1, 2, 1]
@@ -276,3 +255,81 @@ def test_counit_style_arity_zero_slot():
     ident = identity_operator(c)
     left = tensor_compose([p, ident], delta)
     assert left.arity == 1 and left.block(0)[0, 0] == 1
+
+
+# -- the word-keyed algebra against the row-keyed reference --------------------
+
+@st.composite
+def _operator_pair(draw, name, arity, degree):
+    """A sparse operator on one model, as a word-keyed operator and as the
+    row-keyed reference built from the same blocks."""
+    c = _chains(name)
+    blocks = {}
+    for d in c.degrees():
+        rows, cols = c.tensor_rank(arity, d + degree), c.rank(d)
+        if rows:
+            entries = draw(st.dictionaries(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                st.integers(-3, 3), max_size=5))
+            blocks[d] = IntMatrix(rows, cols, entries)
+    return (GradedOperator(c, c, arity, degree, blocks),
+            oracle.GradedOperator(c, c, arity, degree, blocks))
+
+
+def _same(op, ref):
+    """Entry-for-entry equal blocks, and the blocks give back the operator."""
+    assert op.blocks == ref.blocks
+    assert GradedOperator(op.source, op.target, op.arity, op.degree, op.blocks) == op
+
+
+_model = st.sampled_from(sorted(MODELS))
+_arity = st.integers(0, 3)
+_degree = st.integers(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model, _arity, _degree, st.data())
+def test_bracket_and_twist_match_row_reference(name, arity, degree, data):
+    f, ref = data.draw(_operator_pair(name, arity, degree))
+    _same(f, ref)
+    _same(bracket_d(f), oracle.bracket_d(ref))
+    perm = data.draw(st.permutations(range(arity)))
+    _same(sigma_twist(perm, f), oracle.sigma_twist(perm, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model, _arity, _degree, _degree, st.data())
+def test_plain_compose_matches_row_reference(name, arity, deg_a, deg_b, data):
+    a, ref_a = data.draw(_operator_pair(name, arity, deg_a))
+    b, ref_b = data.draw(_operator_pair(name, 1, deg_b))
+    _same(plain_compose(a, b), oracle.plain_compose(ref_a, ref_b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model, _arity, _degree, st.data())
+def test_tensor_compose_matches_row_reference(name, arity, degree, data):
+    b, ref_b = data.draw(_operator_pair(name, arity, degree))
+    pairs = [data.draw(_operator_pair(name, data.draw(_arity), data.draw(_degree)))
+             for _ in range(arity)]
+    got = tensor_compose([op for op, _ in pairs], b)
+    _same(got, oracle.tensor_compose([ref for _, ref in pairs], ref_b))
+
+
+def test_structure_and_reduction_rank_no_words(monkeypatch):
+    # Building, verifying and reducing a structure reads and writes words
+    # only.  The cup tables are universal and cached; their ladder solves
+    # on the standard simplex are matrix work, so they are fetched first.
+    for k in range(4):
+        for d in range(3):
+            cup_table(k, d)
+    calls = []
+    for method in ("word_row", "row_word"):
+        real = getattr(ChainComplex, method)
+
+        def counted(self, *args, real=real, method=method):
+            calls.append(method)
+            return real(self, *args)
+        monkeypatch.setattr(ChainComplex, method, counted)
+    chain_structure(grid_torus(3), 3)
+    reduce_structure(chain_structure(torus(), 3))
+    assert calls == []

@@ -1,11 +1,16 @@
 """Chain-level structure: counit, diagonal, cup tower, reduction."""
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 from einfty.chains import (bracket_d, compose_slot, identity_operator,
                            tensor_compose, transpose_swap)
-from einfty.coalgebra import (CoalgebraStructure, aw_diagonal, chain_structure,
-                              counit, cup_k_coproduct, cup_table, evaluate,
-                              operator_dump, reduce_structure)
+from einfty.cli import main
+from einfty.coalgebra import (CoalgebraStructure, _subset_index, aw_diagonal,
+                              chain_structure, counit, cup_k_coproduct, cup_table,
+                              evaluate, operator_dump, reduce_structure)
 from einfty.errors import MultipleVertices, RelationViolation
 from einfty.operads import generator_differential
 from einfty.simplicial import (FaceRef, SimplicialSet, circle, front_back_faces,
@@ -187,3 +192,26 @@ def test_sphere_and_rp2_degenerate_faces_handled():
     img = aw.image_of(2, 0)
     assert [(c, w) for c, w in img] == [(1, ((0, 0), (2, 0))), (1, ((2, 0), (0, 0)))]
     chain_structure(projective_plane(), 3)
+
+
+def test_subset_index_matches_simplex_labels():
+    for n in range(10):
+        x = standard_simplex(n)
+        for d in range(n + 1):
+            index = _subset_index(n, d)
+            for i, name in enumerate(x.names(d)):
+                assert index[tuple(int(ch) for ch in name)] == i
+
+
+def test_coalgebra_on_a_ten_sphere(tmp_path):
+    # the cup tables reach the standard 10-simplex, whose labels have
+    # two-digit vertices
+    degenerate = "s_8s_7s_6s_5s_4s_3s_2s_1s_0(v)"
+    path = tmp_path / "s10.sset"
+    path.write_text(f"dim 0\nv: []\ndim 10\nT: [{', '.join([degenerate] * 11)}]\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["coalgebra", str(path), "--max-cup", "1"])
+    assert code == 0, err.getvalue()
+    report = json.loads(out.getvalue())
+    assert report["results"]["operators"]["m2_0"]["T"] == "v(x)T + T(x)v"

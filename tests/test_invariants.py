@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from models import grid_torus, relabel
 
 from einfty.coalgebra import chain_structure
 from einfty.errors import GroupMismatch, NotNormalizable, RelationViolation
@@ -236,3 +237,24 @@ def test_borromean_quotient_structure():
     cls = massey_invariant(_borromean_window())
     free, torsion = cls.group.invariants()
     assert (free, torsion) == (16, [])
+
+
+def _invariant_report(x):
+    """What ``einfty invariant`` reports on a simplicial set."""
+    s = chain_structure(x, 3)
+    w = window_from_package(transfer(s, build_sdr(s.complex)))
+    out = {"ranks": (w.h1_rank, w.h2_rank)}
+    for key, fn in (("sq_dual", sq_dual_invariant), ("massey", massey_invariant)):
+        cls = fn(w)
+        out[key] = (cls.group.invariants(), cls.is_zero())
+    return out
+
+
+@pytest.mark.parametrize("n,seed", [(3, 21), (4, 22), (5, 23)])
+def test_torus_models_agree(n, seed):
+    # a relabelled grid torus is another simplicial model of the minimal
+    # torus: homology, both groups and both zero/non-zero verdicts agree
+    want = _invariant_report(torus())
+    assert want == {"ranks": (2, 1), "sq_dual": ((0, [2, 2, 2, 2]), False),
+                    "massey": ((0, []), True)}
+    assert _invariant_report(relabel(grid_torus(n), seed)) == want

@@ -106,3 +106,14 @@ def test_degenerate_face_flagging():
     cells = [rp.face(i, ((), "f")) for i in range(3)]
     assert [render_cell(c) for c in cells] == ["e", "s_0(v)", "e"]
     assert cells[1][0] == (0,)
+
+
+def test_standard_simplex_names_are_unambiguous():
+    # "12" is a vertex of Delta^12 and "1_2" an edge; up to Delta^9 the
+    # digits are run together
+    assert standard_simplex(3).names(1) == ["01", "02", "03", "12", "13", "23"]
+    x = standard_simplex(12)
+    names = [n for d in x.simplices for n in x.names(d)]
+    assert len(names) == len(set(names)) == 2 ** 13 - 1
+    assert x.names(0)[12] == "12" and "1_2" in x.names(1)
+    assert x.faces["0_1_12"][0].target == "1_12"
