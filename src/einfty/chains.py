@@ -63,9 +63,6 @@ class ChainComplex:
     def rank(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def total_rank(self) -> int:
-        return sum(len(b) for b in self.basis.values())
-
     def labels(self, d: int) -> tuple:
         return self.basis.get(d, ())
 

@@ -11,45 +11,67 @@ level, so D is quadratic.  On a letter coming from a simplex x:
 
     D1(x) = -(dx),    D2(x) = sum (-1)^{dim x'} x' (x) x''
 
-over the reduced diagonal terms of x, extended to words as a derivation.
+over the reduced diagonal terms of x, extended to words as a derivation:
+
+    D(x (x) w) = D(x) (x) w + (-1)^{|x|} x (x) D(w).
 
 Word-length graded pieces of H_0 are exact quotients: the degree-0 words of
 length l modulo those boundaries D(b) whose lower-length components can be
 cancelled by completing b downwards.  Lengths up to N-1 are unaffected by
 the truncation at N, which is why only those are reported.
 
+What is stored.  ``gr_h0_ranks`` reads D on degree-1 words only: the
+length-preserving block of each length l < N and the length-raising block
+of each l < N - 1.  So the words listed are those of degree <= 1 and length
+<= N - 1, and those blocks are the only ones built: ``d_keep`` maps a
+source (degree, length) to the same length, ``d_up`` to length + 1, and a
+block holds one {target row: coefficient} dict per source word.  By the
+derivation rule, the column of x (x) w is the column of w one length down
+with its rows moved by x's place, plus the few terms of D(x), so most
+entries are copied by one dict comprehension per column (``_columns``).
+Dicts of plain integers are not tracked by the garbage collector, so the
+store adds no per-entry objects for it to scan.
+
 Words are kept as codes: a word's code is the number whose
 base-len(alphabet) digits are the positions of its letters in the sorted
-alphabet, so codes order words as they are ordered lexicographically.
-Letters of one degree occupy a contiguous run of positions, so the codes
-of degree e and length l + 1 are, letter by letter in alphabet order, a
-letter of degree k <= e put in front of each code of degree e - k and
-length l.  Every bucket comes out sorted, no word tuple is built and no
-word of degree above 2 is visited; ``TruncatedCobar.word`` decodes a code
-when a report names a word.
+alphabet of letters of degree <= 2, so codes order words as they are
+ordered lexicographically.  Letters of one degree occupy a contiguous run of
+positions, so the codes of degree e and length l + 1 are, letter by letter
+in alphabet order, a letter of degree k <= e put in front of each code of
+degree e - k and length l.  Every bucket comes out sorted and no word tuple
+is built; ``TruncatedCobar.word`` decodes a code when a report names a word.
 
-D is built once and stored by column: ``d_keep`` maps a source (degree,
-length) to the same length, ``d_up`` to length + 1, and a block holds one
-{target row: coefficient} dict per source word.  The same first-letter
-split numbers words and builds D: by the derivation rule, the column of
-x (x) w is the column of w one length down with its rows moved by x's
-place, plus the few terms of D(x), so most entries are copied by one
-dict comprehension per column (``build_cobar``).  Dicts of plain integers
-are not tracked by the garbage collector, so the store adds no per-entry
-objects for it to scan.  ``gr_h0_ranks`` turns into ``IntMatrix`` only the
-degree-1 blocks it factors, those at lengths below ``max_len``.
+Why D o D = 0 needs no enumeration of words.  D is an odd derivation, so
 
-D o D = 0 is checked exactly, over the integers, on every degree-2 word and
-every component the truncation leaves whole (keep.keep, keep.up + up.keep,
-up.up).  The check reads the column store as it is: a word's D o D is
-summed term by term, through the columns of its D terms, into one dict
-keyed by target row, so no product matrix is built.  A failure names the
-first word whose D o D is nonzero, with that image.
+    D^2(x (x) w) = D^2(x) (x) w + x (x) D^2(w),
+
+the two cross terms (-1)^{|x|-1} D(x) (x) D(w) and (-1)^{|x|} D(x) (x) D(w)
+cancelling.  Words longer than N form a D-stable ideal, since D never
+shortens a word, so the identity holds in the truncation too.  Hence
+D^2 = 0 on every word if and only if it vanishes on every letter and the
+stored D is the derivation that D on letters determines.
+``check_d_squared_cobar`` checks exactly these two things, over the
+integers:
+
+* the letter check computes D^2 of each letter of degree <= 2 in full,
+  without truncation: its words have length <= 3, split into the
+  components keep.keep, keep.up + up.keep and up.up.  It carries d o d = 0,
+  the diagonal as a chain map and coassociativity.  On 2-dimensional inputs
+  it vanishes for degree reasons; 3-simplices give it content.
+* the Leibniz audit checks every stored column against its rest's stored
+  column, shifted, plus the terms of D of its first letter (a length-1
+  column against D of its letter), and that no degree-0 word has a D.  By
+  induction on length, the blocks the ranks read are then D itself.
+
+A failure names the letter or word (in simplex labels) and its defect: the
+D^2 expansion of the letter, or the audited column minus the expected one.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .coalgebra import CoalgebraStructure
-from .errors import MultipleVertices
+from .errors import MultipleVertices, NotReduced
 from .intlinalg import IntMatrix, kernel_basis, quotient_invariants
 
 Letter = tuple[int, int]  # (shifted degree, index within that layer)
@@ -80,9 +102,10 @@ class ColumnBlock:
 
 
 class TruncatedCobar:
-    """``words`` maps (degree, length) to the sorted codes of its words;
-    ``d_keep`` and ``d_up`` map a source (degree, length) to a
-    ``ColumnBlock``, and omit the blocks that are zero."""
+    """``words`` maps (degree, length), for degree <= 1 and length <
+    ``max_len``, to the sorted codes of its words; ``d_keep`` and ``d_up``
+    map a source (degree, length) to a ``ColumnBlock``, and omit the blocks
+    that are zero."""
 
     def __init__(self, structure: CoalgebraStructure, max_len: int,
                  words: dict[tuple[int, int], list[int]],
@@ -114,31 +137,54 @@ def _alphabet(structure: CoalgebraStructure) -> list[Letter]:
     return [(d - 1, i) for d in c.degrees() if d <= 3 for i in range(c.rank(d))]
 
 
-def _letter_images(structure: CoalgebraStructure, alphabet: list[Letter]):
-    """Per letter position in ``alphabet``: the boundary part of D as
-    (coeff, letter) terms and the diagonal part as (coeff, first letter,
-    second letter) terms, each letter given by its position."""
-    c = structure.complex
-    diag = structure.op("m2_0")
-    pos = {letter: k for k, letter in enumerate(alphabet)}
-    bnd: list[list[tuple[int, int]]] = []
-    spl: list[list[tuple[int, int, int]]] = []
-    for d in sorted({e + 1 for e, _ in alphabet}):
-        faces: dict[int, list[tuple[int, int]]] = {}
-        for (r, col), v in c.boundary_matrix(d).data.items():
-            faces.setdefault(col, []).append((-v, pos[(d - 2, r)]))
-        for i in range(c.rank(d)):
-            bnd.append(faces.get(i, []))
-            spl.append([])
-            for coeff, word in diag.image_of(d, i):
-                (e1, i1), (e2, i2) = word
-                sign = -1 if e1 % 2 else 1
-                spl[-1].append((sign * coeff, pos[(e1 - 1, i1)], pos[(e2 - 1, i2)]))
-    return bnd, spl
+class _LetterD:
+    """D on the letters of ``_alphabet``, each letter given by its position:
+    ``degs[k]`` is the degree of letter k, ``bnd[k]`` its boundary part as
+    (coeff, letter) terms and ``spl[k]`` its diagonal part as (coeff, first
+    letter, second letter) terms."""
+
+    def __init__(self, structure: CoalgebraStructure):
+        c = structure.complex
+        diag = structure.op("m2_0")
+        self.alphabet = _alphabet(structure)
+        self.degs = [e for e, _ in self.alphabet]
+        pos = {letter: k for k, letter in enumerate(self.alphabet)}
+        self.bnd: list[list[tuple[int, int]]] = []
+        self.spl: list[list[tuple[int, int, int]]] = []
+        for d in sorted({e + 1 for e in self.degs}):
+            faces: dict[int, list[tuple[int, int]]] = {}
+            for (r, col), v in c.boundary_matrix(d).data.items():
+                faces.setdefault(col, []).append((-v, pos[(d - 2, r)]))
+            for i in range(c.rank(d)):
+                self.bnd.append(faces.get(i, []))
+                self.spl.append([])
+                for coeff, word in diag.image_of(d, i):
+                    (e1, i1), (e2, i2) = word
+                    sign = -1 if e1 % 2 else 1
+                    self.spl[-1].append((sign * coeff, pos[(e1 - 1, i1)], pos[(e2 - 1, i2)]))
+
+    def of_word(self, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """D of a word of degree <= 1, as letter positions, untruncated.
+
+        In such a word every letter after an odd one has degree 0, and D of
+        a degree-0 letter is zero, so the sign (-1)^{|x|} of the derivation
+        rule is +1 wherever D acts.
+        """
+        out: dict[tuple[int, ...], int] = {}
+        for i, x in enumerate(word):
+            head, tail = word[:i], word[i + 1:]
+            for coeff, y in self.bnd[x]:
+                w = head + (y,) + tail
+                out[w] = out.get(w, 0) + coeff
+            for coeff, y, z in self.spl[x]:
+                w = head + (y, z) + tail
+                out[w] = out.get(w, 0) + coeff
+        return out
 
 
 def _word_codes(alphabet: list[Letter], max_len: int) -> dict[tuple[int, int], list[int]]:
-    """(degree, length) -> the sorted codes of the words of that degree <= 2.
+    """(degree, length) -> the sorted codes of the words of degree <= 1 and
+    length < max_len.
 
     A length-(l + 1) word is a first letter followed by a length-l word, and
     its code is the letter's position times base**l plus the rest's code.
@@ -150,9 +196,9 @@ def _word_codes(alphabet: list[Letter], max_len: int) -> dict[tuple[int, int], l
         runs.setdefault(e, []).append(k)
     base = len(alphabet)
     codes: dict[tuple[int, int], list[int]] = {(0, 0): [0]}
-    for length in range(1, max_len + 1):
+    for length in range(1, max_len):
         place = base ** (length - 1)
-        for degree in range(3):
+        for degree in range(2):
             bucket: list[int] = []
             for e, positions in runs.items():
                 rests = codes.get((degree - e, length - 1))
@@ -164,8 +210,11 @@ def _word_codes(alphabet: list[Letter], max_len: int) -> dict[tuple[int, int], l
     return dict(sorted(codes.items()))
 
 
-def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
-    """Words of internal degree <= 2 up to the given length, with D blocks.
+def _columns(letters: _LetterD, count: dict[tuple[int, int], int],
+             table: dict[tuple[int, int], ColumnBlock], rise: int,
+             length: int) -> list[dict[int, int]]:
+    """The columns of D from degree-1 words of ``length`` to length + rise
+    (0: ``d_keep``, 1: ``d_up``), read off ``table``'s block one length down.
 
     A word is its first letter x followed by a shorter word w, and
 
@@ -173,88 +222,87 @@ def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
 
     Within a bucket the words that start with x form one run, numbered as
     their rests w are numbered in w's bucket.  So the column of x (x) w is
-    w's column in the block one length down, its rows moved to x's run in
+    w's column in ``table`` one length down, its rows moved to x's run in
     the target bucket, plus one entry per term y (or y (x) z) of D(x), at
-    w's number within the run of words that start with y (or y (x) z).
+    w's number within the run of words that start with y (or y (x) z).  A
+    rest of degree 0 contributes nothing, since D of a degree-0 word is
+    zero; so only first letters of degree 0 carry a rest's column, and
+    their sign (-1)^{|x|} is +1.
     """
-    if max_len < 1:
-        raise ValueError("word length bound must be >= 1")
-    if not structure.reduced:
-        raise MultipleVertices(structure.complex.rank(0))
-    alphabet = _alphabet(structure)
-    degs = [e for e, _ in alphabet]
-    bnd, spl = _letter_images(structure, alphabet)
-    words = _word_codes(alphabet, max_len)
-    count = {key: len(codes) for key, codes in words.items()}
+    degs = letters.degs
 
-    def starts(degree: int, length: int) -> list[int]:
-        """Per letter, the number of the first word of (degree, length)
+    def starts(length: int) -> list[int]:
+        """Per letter, the number of the first degree-0 word of ``length``
         that starts with it."""
         out, s = [], 0
         for e in degs:
             out.append(s)
-            s += count.get((degree - e, length - 1), 0)
+            s += count.get((-e, length - 1), 0)
         return out
 
-    d_keep: dict[tuple[int, int], ColumnBlock] = {}
-    d_up: dict[tuple[int, int], ColumnBlock] = {}
-    for degree, length in words:
-        if degree == 0:
+    at = starts(length + rise)
+    if rise:
+        second_at = starts(length)  # the terms of D2 on degree 1 are degree-0 pairs
+    cols: list[dict[int, int]] = []
+    for x, e in enumerate(degs):
+        n = count.get((1 - e, length - 1), 0)
+        if not n:
             continue
-        up_fits = length < max_len
-        keep_at = starts(degree - 1, length)
-        if up_fits:
-            up_at = starts(degree - 1, length + 1)
-            # after a first letter of degree e, the runs of the second letters
-            second_at = {e: starts(degree - 1 - e, length) for e in set(degs)}
-        keep_cols: list[dict[int, int]] = []
-        up_cols: list[dict[int, int]] = []
-        for x, e in enumerate(degs):
-            n = count.get((degree - e, length - 1), 0)
-            if not n:
-                continue
-            sign = -1 if e % 2 else 1
-            heads = [(coeff, keep_at[y]) for coeff, y in bnd[x]]
-            inner = d_keep.get((degree - e, length - 1))
-            keep_cols.extend(_shifted(inner, n, keep_at[x], sign, heads))
-            if up_fits:
-                heads = [(coeff, up_at[y] + second_at[degs[y]][z]) for coeff, y, z in spl[x]]
-                inner = d_up.get((degree - e, length - 1))
-                up_cols.extend(_shifted(inner, n, up_at[x], sign, heads))
-        if any(keep_cols):
-            d_keep[(degree, length)] = ColumnBlock(count.get((degree - 1, length), 0), keep_cols)
-        if any(up_cols):
-            d_up[(degree, length)] = ColumnBlock(count.get((degree - 1, length + 1), 0), up_cols)
-    return TruncatedCobar(structure, max_len, words, d_keep, d_up)
+        if rise:
+            heads = [(coeff, at[y] + second_at[z]) for coeff, y, z in letters.spl[x]]
+        else:
+            heads = [(coeff, at[y]) for coeff, y in letters.bnd[x]]
+        inner = table.get((1, length - 1)) if e == 0 else None
+        cols.extend(_shifted(inner, n, at[x], heads))
+    return cols
 
 
-def _shifted(inner: ColumnBlock | None, n: int, shift: int, sign: int,
+def _shifted(inner: ColumnBlock | None, n: int, shift: int,
              heads: list[tuple[int, int]]) -> list[dict[int, int]]:
     """The n columns of x (x) w for a first letter x: w's column in
-    ``inner`` with its rows shifted by ``shift`` and its coefficients times
-    ``sign``, and each (coeff, start) of ``heads`` as ``coeff`` at row
-    start + (w's number)."""
+    ``inner`` with its rows shifted by ``shift``, and each (coeff, start) of
+    ``heads`` as ``coeff`` at row start + (w's number)."""
     if inner is None:
         cols: list[dict[int, int]] = [{} for _ in range(n)]
     else:
-        cols = [{shift + r: sign * v for r, v in col.items()} for col in inner.cols]
+        cols = [{shift + r: v for r, v in col.items()} for col in inner.cols]
     for coeff, start in heads:
         for i, col in enumerate(cols, start):
             col[i] = coeff
     return cols
 
 
-def _block(t: TruncatedCobar, table: dict, degree: int, length: int) -> IntMatrix:
-    """A block of D as an ``IntMatrix``, zero when the store omits it."""
-    block = table.get((degree, length))
+def build_cobar(structure: CoalgebraStructure, max_len: int) -> TruncatedCobar:
+    """The words of degree <= 1 and length < max_len, with the blocks of D
+    that ``gr_h0_ranks`` reads: ``d_keep[(1, l)]`` for l < max_len and
+    ``d_up[(1, l)]`` for l < max_len - 1, each built from the one a length
+    down (``_columns``)."""
+    if max_len < 1:
+        raise ValueError("word length bound must be >= 1")
+    if not structure.reduced:
+        vertices = structure.complex.rank(0)
+        raise MultipleVertices(vertices) if vertices != 1 else NotReduced()
+    letters = _LetterD(structure)
+    words = _word_codes(letters.alphabet, max_len)
+    count = {key: len(codes) for key, codes in words.items()}
+    d_keep: dict[tuple[int, int], ColumnBlock] = {}
+    d_up: dict[tuple[int, int], ColumnBlock] = {}
+    for length in range(1, max_len):
+        for table, rise in ((d_keep, 0), (d_up, 1)):
+            if length + rise < max_len:
+                cols = _columns(letters, count, table, rise, length)
+                if any(cols):
+                    table[(1, length)] = ColumnBlock(count.get((0, length + rise), 0), cols)
+    return TruncatedCobar(structure, max_len, words, d_keep, d_up)
+
+
+def _block(t: TruncatedCobar, table: dict, length: int, rise: int) -> IntMatrix:
+    """D from degree-1 words of ``length`` to length + rise as an
+    ``IntMatrix``, zero when the store omits it."""
+    block = table.get((1, length))
     if block is not None:
         return block.matrix()
-    src = t.word_count(degree, length)
-    if table is t.d_keep:
-        dst = t.word_count(degree - 1, length)
-    else:
-        dst = t.word_count(degree - 1, length + 1)
-    return IntMatrix(dst, src)
+    return IntMatrix(t.word_count(0, length + rise), t.word_count(1, length))
 
 
 def _completable(keep: list[IntMatrix], up: list[IntMatrix], upto: int) -> dict[int, IntMatrix]:
@@ -291,8 +339,8 @@ def gr_h0_ranks(t: TruncatedCobar) -> list[dict]:
     graded piece (torsion empty on all bundled fixtures, but reported
     honestly when present).
     """
-    keep = [_block(t, t.d_keep, 1, length) for length in range(t.max_len)]
-    up = [_block(t, t.d_up, 1, length) for length in range(t.max_len - 1)]
+    keep = [_block(t, t.d_keep, length, 0) for length in range(t.max_len)]
+    up = [_block(t, t.d_up, length, 1) for length in range(t.max_len - 1)]
     # length l reads the completable generators of length l - 1 only
     comp = _completable(keep, up, t.max_len - 2)
     out = []
@@ -307,93 +355,99 @@ def gr_h0_ranks(t: TruncatedCobar) -> list[dict]:
     return out
 
 
-def _first_nonzero_column(products, ncols: int):
-    """First source column where sum(outer @ inner) is nonzero, with its image.
-
-    ``products`` holds (outer, inner) pairs of blocks, None for a zero
-    block.  One column's image at a time is summed into a dict keyed by
-    target row, so terms that cancel cost one dict update each and
-    allocate nothing.
-    """
-    products = [(o.cols, i.cols) for o, i in products if o is not None and i is not None]
-    for col in range(ncols):
-        image: dict[int, int] = {}
-        for outer, inner in products:
-            for r, v in inner[col].items():
-                for r2, v2 in outer[r].items():
-                    image[r2] = image.get(r2, 0) + v * v2
-        if any(image.values()):
-            return col, {r: v for r, v in image.items() if v}
-    return None
+def _spell(structure: CoalgebraStructure, letters: Iterable[Letter]) -> str:
+    """Letters (degree, index) spelled in the labels of their simplices,
+    "1" for the empty word."""
+    labels = structure.complex.labels
+    return "(x)".join(str(labels(e + 1)[i]) for e, i in letters) or "1"
 
 
 def word_label(t: TruncatedCobar, degree: int, length: int, index: int) -> str:
-    """A word spelled in the labels of its simplices, "1" when empty."""
+    """A stored word spelled in the labels of its simplices, "1" when empty."""
     if index >= t.word_count(degree, length):  # a degree-0 source's D has no target words
         return f"#{index} of degree {degree}, length {length}"
-    labels = t.structure.complex.labels
-    return "(x)".join(str(labels(e + 1)[i]) for e, i in t.word(degree, length, index)) or "1"
-
-
-def _failure(t: TruncatedCobar, degree: int, length: int, col: int,
-             images: list[tuple[tuple[int, int], dict[int, int]]]) -> dict:
-    """Report fields naming a failing source word and its nonzero image;
-    ``images`` pairs each target (degree, length) with {row: coefficient}."""
-    return {
-        "length": length,
-        "word": word_label(t, degree, length, col),
-        "expansion": [[v, word_label(t, *target, r)]
-                      for target, image in images for r, v in sorted(image.items())],
-    }
+    return _spell(t.structure, t.word(degree, length, index))
 
 
 def describe_failure(entry: dict) -> str:
-    """One line naming a failing check entry's word and its D o D."""
+    """One line naming a failing check entry's word and its defect."""
     terms = " ".join(f"{v:+d} {w}" for v, w in entry["expansion"])
     return f"{entry['component']} on {entry['source']}: {entry['word']} -> {terms}"
 
 
-def check_d_squared_cobar(t: TruncatedCobar) -> list[dict]:
-    """D o D = 0 on every truncation-safe component.
+_COMPONENTS = ("keep.keep", "keep.up + up.keep", "up.up")  # D^2 raising length by 0, 1, 2
 
-    A failing entry also names the first failing source word (``word``, in
-    simplex labels), its length and the nonzero terms of its image
-    (``expansion``, [coefficient, word] pairs).
-    """
-    keep, up = t.d_keep, t.d_up
+
+def _letter_check(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
+    """D^2 = 0 on every letter, untruncated: one entry per letter degree and
+    component, naming the first letter where that component is nonzero."""
     report = []
-    for length in range(0, t.max_len + 1):
-        n = t.word_count(2, length)
-        if n == 0:
-            continue
-        keep2, up2 = keep.get((2, length)), up.get((2, length))
-        # (label, length added, [(outer, inner)] whose products sum to it)
-        checks = [("keep.keep", 0, [(keep.get((1, length)), keep2)])]
-        if length + 1 <= t.max_len:
-            checks.append(("keep.up + up.keep", 1,
-                           [(keep.get((1, length + 1)), up2),
-                            (up.get((1, length)), keep2)]))
-        if length + 2 <= t.max_len:
-            checks.append(("up.up", 2, [(up.get((1, length + 1)), up2)]))
-        for label, rise, products in checks:
-            entry = {"source": f"degree 2, length {length}", "component": label,
-                     "ok": True}
-            bad = _first_nonzero_column(products, n)
-            if bad is not None:
-                col, image = bad
-                entry["ok"] = False
-                entry.update(_failure(t, 2, length, col, [((0, length + rise), image)]))
+    for degree in sorted(set(letters.degs)):
+        bad: list[tuple[int, list] | None] = [None] * len(_COMPONENTS)
+        for x, e in enumerate(letters.degs):
+            if e != degree:
+                continue
+            square: dict[tuple[int, ...], int] = {}
+            for w, v in letters.of_word((x,)).items():
+                for w2, v2 in letters.of_word(w).items():
+                    square[w2] = square.get(w2, 0) + v * v2
+            for rise in range(len(_COMPONENTS)):
+                terms = sorted((w, v) for w, v in square.items() if v and len(w) == 1 + rise)
+                if terms and bad[rise] is None:
+                    bad[rise] = (x, terms)
+        for rise, component in enumerate(_COMPONENTS):
+            entry = {"source": f"degree {degree}, length 1",
+                     "component": f"letter {component}", "ok": bad[rise] is None}
+            if bad[rise] is not None:
+                x, terms = bad[rise]
+                alphabet = letters.alphabet
+                entry.update(length=1, word=_spell(t.structure, [alphabet[x]]),
+                             expansion=[[v, _spell(t.structure, [alphabet[k] for k in w])]
+                                        for w, v in terms])
             report.append(entry)
-    # degree-0 words must be cycles outright
-    for length in range(0, t.max_len + 1):
-        blocks = [((-1, length + rise), table[(0, length)].cols)
-                  for rise, table in ((0, keep), (1, up)) if (0, length) in table]
-        if blocks:
-            col = min((c for _, cols in blocks for c, entries in enumerate(cols)
-                       if entries), default=0)
-            images = [(target, dict(cols[col]) if col < len(cols) else {})
-                      for target, cols in blocks]
-            report.append({"source": f"degree 0, length {length}",
-                           "component": "D", "ok": False,
-                           **_failure(t, 0, length, col, images)})
     return report
+
+
+def _audit(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
+    """The Leibniz audit: one entry per block the ranks read, and one per
+    stored degree-0 block, naming the first column that differs from the one
+    its rest's stored column and D of its first letter give."""
+    count = {key: len(codes) for key, codes in t.words.items()}
+    report = []
+    for name, table, rise in (("keep", t.d_keep, 0), ("up", t.d_up, 1)):
+        keys = {(1, length) for length in range(1, t.max_len - rise)}
+        keys.update(key for key in table if key[0] == 0)
+        for degree, length in sorted(keys):
+            block = table.get((degree, length))
+            actual = block.cols if block is not None else []
+            # D of a degree-0 word is zero: it has no target words
+            expected = _columns(letters, count, table, rise, length) if degree == 1 else []
+            entry = {"source": f"degree {degree}, length {length}",
+                     "component": f"Leibniz {name}", "ok": True}
+            for j in range(max(len(actual), len(expected))):
+                got = actual[j] if j < len(actual) else {}
+                want = expected[j] if j < len(expected) else {}
+                if got != want:
+                    defect = {r: got.get(r, 0) - want.get(r, 0) for r in {*got, *want}}
+                    target = (degree - 1, length + rise)
+                    entry.update(ok=False, length=length, word=word_label(t, degree, length, j),
+                                 **{key: [[v, word_label(t, *target, r)]
+                                          for r, v in sorted(col.items()) if v]
+                                    for key, col in (("expansion", defect), ("expected", want),
+                                                     ("actual", got))})
+                    break
+            report.append(entry)
+    return report
+
+
+def check_d_squared_cobar(t: TruncatedCobar) -> list[dict]:
+    """D o D = 0, exactly: the letter check and the Leibniz audit (see the
+    module docstring for why the two together prove it on every word).
+
+    A failing entry also names the failing letter or word (``word``, in
+    simplex labels), its length and the nonzero terms of its defect
+    (``expansion``, [coefficient, word] pairs); a failing audit entry adds
+    the ``expected`` and ``actual`` columns the same way.
+    """
+    letters = _LetterD(t.structure)
+    return _letter_check(t, letters) + _audit(t, letters)

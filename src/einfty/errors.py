@@ -62,6 +62,14 @@ class MultipleVertices(EinftyError):
         return out
 
 
+class NotReduced(EinftyError):
+    """A single-vertex structure passed where its reduction is needed."""
+
+    def __init__(self):
+        super().__init__("operation requires a reduced structure: "
+                         "apply reduce_structure to the single-vertex model first")
+
+
 class RelationViolation(EinftyError):
     """``fields`` locate the failure (for instance the failing word) in the
     payload, next to the relation's name."""

@@ -217,11 +217,3 @@ def sdr_variant(sdr: SDR, theta_blocks: dict[int, IntMatrix]) -> SDR:
     if bad:
         raise AssertionError(f"gauge twist broke the SDR: {bad}")
     return out
-
-
-def identity_sdr(c: ChainComplex) -> SDR:
-    """The trivial retraction of a zero-differential complex onto itself."""
-    if c.boundary:
-        raise ValueError("identity SDR needs a zero differential")
-    ident = identity_operator(c)
-    return SDR(ident, ident, GradedOperator(c, c, 1, 1, {}))

@@ -193,14 +193,6 @@ class IntMatrix:
             data[(i, j + self.ncols)] = v
         return IntMatrix(self.nrows, self.ncols + other.ncols, data)
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i + self.nrows, j)] = v
-        return IntMatrix(self.nrows + other.nrows, self.ncols, data)
-
     def submatrix_columns(self, js: Sequence[int]) -> "IntMatrix":
         lookup = {j: pos for pos, j in enumerate(js)}
         data = {}
@@ -662,10 +654,6 @@ def column_span_saturation(m: IntMatrix) -> IntMatrix:
     sf = smith(m, ("uinv",))
     cols = list(range(sf.rank))
     return sf.uinv.submatrix_columns(cols)
-
-
-def in_column_span(m: IntMatrix, vec: Sequence[int]) -> bool:
-    return solve(m, column_vector(list(vec))) is not None
 
 
 def quotient_invariants(ambient_rank: int, relations: IntMatrix) -> tuple[int, list[int]]:

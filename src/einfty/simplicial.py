@@ -89,9 +89,6 @@ class SimplicialSet:
     def names(self, d: int) -> list[str]:
         return self.simplices.get(d, [])
 
-    def index_of(self, name: str) -> int:
-        return self.simplices[self.dim_of[name]].index(name)
-
     # -- normal-form calculus ------------------------------------------------
 
     def degeneracy(self, j: int, cell: Cell) -> Cell:
@@ -201,16 +198,6 @@ class SimplicialSet:
                                 "d_{j-1} d_i": render_cell(rhs),
                             })
         return report
-
-    def serialize(self) -> str:
-        lines = []
-        for d in sorted(self.simplices):
-            lines.append(f"dim {d}")
-            for name in self.simplices[d]:
-                refs = self.faces.get(name, ())
-                inner = ", ".join(ref.render() for ref in refs)
-                lines.append(f"{name}: [{inner}]")
-        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialSet):

@@ -1,12 +1,14 @@
 """Reference oracle for ``einfty.cobar.build_cobar`` and its D o D check.
 
 The code below is the cobar construction the package used before it built
-its words from codes and its blocks column by column: words as tuples by
-recursion, blocks accumulated entry by entry in ``IntMatrix``, and the
-check as sums of block products.  Only at the end are the words encoded and
-the blocks regrouped into the package's column store, so that
-``tests/test_cobar.py`` can require the package to give equal words,
-blocks and check verdicts.
+its words from codes and its blocks column by column, and before it proved
+D o D = 0 from the letters: every word of degree <= 2 and length <= max_len
+as a tuple, by recursion; every block accumulated entry by entry in
+``IntMatrix``; and the check as sums of block products over every degree-2
+word.  Only at the end are the words encoded and the blocks regrouped into
+the package's column store, so that ``tests/test_cobar.py`` can require
+equal words and blocks at every key the package stores, and equal pass/fail
+verdicts of the two checks.
 """
 from __future__ import annotations
 

@@ -1,7 +1,11 @@
-"""Simplicial models shared by the tests: grid tori and seeded relabellings."""
+"""Shared by the tests: simplicial models (grid tori, one-vertex simplices,
+seeded relabellings) and small helpers that the package itself never calls."""
 import random
 
-from einfty.simplicial import FaceRef, SimplicialSet
+from einfty.chains import ChainComplex, GradedOperator, identity_operator
+from einfty.homology import SDR
+from einfty.intlinalg import IntMatrix, column_vector, solve
+from einfty.simplicial import FaceRef, SimplicialSet, standard_simplex
 
 
 def grid_torus(n: int) -> SimplicialSet:
@@ -42,3 +46,54 @@ def relabel(x: SimplicialSet, seed: int) -> SimplicialSet:
     faces = {new[n]: tuple(FaceRef(f.word, new[f.target]) for f in refs)
              for n, refs in x.faces.items()}
     return SimplicialSet(simplices, faces)
+
+
+def one_vertex_simplex(n: int) -> SimplicialSet:
+    """Delta^n with its n + 1 vertices identified to one vertex "v"."""
+    x = standard_simplex(n)
+    simplices = {**x.simplices, 0: ["v"]}
+    faces = {name: tuple(FaceRef((), "v") if x.dim_of[f.target] == 0 else f for f in refs)
+             for name, refs in x.faces.items()}
+    return SimplicialSet(simplices, faces)
+
+
+def serialize(x: SimplicialSet) -> str:
+    """The ``.sset`` text of a simplicial set, which ``parse_sset`` reads back."""
+    lines = []
+    for d in sorted(x.simplices):
+        lines.append(f"dim {d}")
+        for name in x.simplices[d]:
+            inner = ", ".join(ref.render() for ref in x.faces.get(name, ()))
+            lines.append(f"{name}: [{inner}]")
+    return "\n".join(lines) + "\n"
+
+
+def index_of(x: SimplicialSet, name: str) -> int:
+    """The index of a simplex within its dimension."""
+    return x.simplices[x.dim_of[name]].index(name)
+
+
+def total_rank(c: ChainComplex) -> int:
+    return sum(len(b) for b in c.basis.values())
+
+
+def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """``a`` over ``b``."""
+    if a.ncols != b.ncols:
+        raise ValueError("column count mismatch")
+    data = dict(a.data)
+    for (i, j), v in b.data.items():
+        data[(i + a.nrows, j)] = v
+    return IntMatrix(a.nrows + b.nrows, a.ncols, data)
+
+
+def in_column_span(m: IntMatrix, vec) -> bool:
+    return solve(m, column_vector(list(vec))) is not None
+
+
+def identity_sdr(c: ChainComplex) -> SDR:
+    """The trivial retraction of a zero-differential complex onto itself."""
+    if c.boundary:
+        raise ValueError("identity SDR needs a zero differential")
+    ident = identity_operator(c)
+    return SDR(ident, ident, GradedOperator(c, c, 1, 1, {}))

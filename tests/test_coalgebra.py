@@ -4,6 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from models import index_of
 
 from einfty.chains import (bracket_d, compose_slot, identity_operator,
                            tensor_compose, transpose_swap)
@@ -40,11 +41,11 @@ def test_aw_values_on_standard_simplices():
     d2 = standard_simplex(2)
     c = normalized_chains(d2)
     aw = aw_diagonal(d2, c)
-    idx01 = d2.index_of("01")
+    idx01 = index_of(d2, "01")
     img = aw.image_of(1, idx01)
     labels = [tuple(c.labels(e)[i] for e, i in word) for _, word in img]
     assert labels == [("0", "01"), ("01", "1")]
-    img2 = aw.image_of(2, d2.index_of("012"))
+    img2 = aw.image_of(2, index_of(d2, "012"))
     labels2 = [tuple(c.labels(e)[i] for e, i in word) for _, word in img2]
     assert labels2 == [("0", "012"), ("01", "12"), ("012", "2")]
     assert all(coeff == 1 for coeff, _ in img + img2)
@@ -61,8 +62,8 @@ def test_aw_matches_front_back_faces():
                 front, back = front_back_faces(x, name, i)
                 if front[0] or back[0]:
                     continue  # degenerate halves vanish in normalized chains
-                key = ((x.dim_of[front[1]], x.index_of(front[1])),
-                       (x.dim_of[back[1]], x.index_of(back[1])))
+                key = ((x.dim_of[front[1]], index_of(x, front[1])),
+                       (x.dim_of[back[1]], index_of(x, back[1])))
                 expected[key] = expected.get(key, 0) + 1
             got = {word: coeff for coeff, word in aw.image_of(d, idx)}
             assert got == expected, name

@@ -5,13 +5,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import cobar_oracle as oracle
 import pytest
-from models import relabel
+from models import grid_torus, one_vertex_simplex, relabel
 
 from einfty import cli, cobar
+from einfty.chains import GradedOperator
 from einfty.cobar import (ColumnBlock, TruncatedCobar, build_cobar, check_d_squared_cobar,
                           gr_h0_ranks)
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
-from einfty.errors import MultipleVertices
+from einfty.errors import MultipleVertices, NotReduced
 from einfty.formats import SSET_FIXTURES, fixture_path
 from einfty.simplicial import (FaceRef, SimplicialSet, circle, parse_sset, point,
                                projective_plane, sphere, torus, wedge_of_circles)
@@ -133,21 +134,6 @@ def test_word_length_filtration():
         assert t.d_up[(deg, length)].nrows == t.word_count(deg - 1, length + 1)
 
 
-def test_flipped_shift_sign_breaks_d_squared():
-    # a globally consistent sign flip is still a differential; an
-    # inconsistent one (a single length-raising block negated, as happens
-    # with a wrong desuspension convention in the derivation signs) is not
-    t = _cobar(torus(), 4)
-    flipped_up = dict(t.d_up)
-    block = flipped_up[(2, 2)]
-    flipped_up[(2, 2)] = ColumnBlock(block.nrows, [{r: -v for r, v in col.items()}
-                                                   for col in block.cols])
-    flipped = TruncatedCobar(t.structure, t.max_len, t.words, t.d_keep,
-                             flipped_up)
-    report = check_d_squared_cobar(flipped)
-    assert any(not r["ok"] for r in report)
-
-
 def test_ranks_do_not_depend_on_higher_cup_operators():
     # replace the degree-1 coproduct by garbage of the right shape; the
     # cobar differential never consults it
@@ -166,92 +152,186 @@ def test_ranks_do_not_depend_on_higher_cup_operators():
 def test_requires_reduced_structure():
     s = chain_structure(torus(), 1)
     with pytest.raises(MultipleVertices):
-        build_cobar(s, 3)
+        build_cobar(chain_structure(grid_torus(3), 1), 3)
     with pytest.raises(ValueError):
         build_cobar(reduce_structure(s), 0)
 
 
-def _verdicts(report):
-    return [(r["source"], r["component"], r["ok"]) for r in report]
+def test_unreduced_single_vertex_names_the_reduction():
+    # one vertex, but not reduced: the error names the missing step instead
+    # of reporting "found 1 vertices"
+    with pytest.raises(NotReduced, match="reduce_structure") as caught:
+        build_cobar(chain_structure(torus(), 1), 3)
+    assert "vertices" not in str(caught.value)
+    assert caught.value.payload()["error"] == "NotReduced"
+
+
+def _fails(report) -> bool:
+    return any(not r["ok"] for r in report)
+
+
+def _with_block(t, table, key, block):
+    """``t`` with its ``table`` ("keep" or "up") block at ``key`` replaced."""
+    blocks = {**(t.d_keep if table == "keep" else t.d_up), key: block}
+    d_keep, d_up = (blocks, t.d_up) if table == "keep" else (t.d_keep, blocks)
+    return TruncatedCobar(t.structure, t.max_len, t.words, d_keep, d_up)
+
+
+def _negated(t, table, key, pick):
+    """``t`` with the ``pick``-th entry, in column order, of a block negated,
+    and that entry's (column, row)."""
+    block = (t.d_keep if table == "keep" else t.d_up)[key]
+    col, row = [(c, r) for c, entries in enumerate(block.cols) for r in sorted(entries)][pick]
+    cols = list(block.cols)
+    cols[col] = {**cols[col], row: -cols[col][row]}
+    return _with_block(t, table, key, ColumnBlock(block.nrows, cols)), (col, row)
+
+
+def test_flipped_shift_sign_breaks_d_squared():
+    # negating one length-raising block, as a wrong desuspension sign in the
+    # derivation rule would, leaves a store that is not D: the audit names
+    # the block's first column, and the reference's full D o D fails on its
+    # own store negated the same way
+    red = reduce_structure(chain_structure(torus(), 2))
+    t, ref = build_cobar(red, 4), oracle.build_cobar(red, 4)
+
+    def flipped(c):
+        block = c.d_up[(1, 2)]
+        return _with_block(c, "up", (1, 2), ColumnBlock(
+            block.nrows, [{r: -v for r, v in col.items()} for col in block.cols]))
+
+    bad = [r for r in check_d_squared_cobar(flipped(t)) if not r["ok"]]
+    assert (bad[0]["source"], bad[0]["component"]) == ("degree 1, length 2", "Leibniz up")
+    assert bad[0]["word"] == cobar.word_label(t, 1, 2, 0)
+    assert _fails(oracle.check_d_squared_cobar(flipped(ref)))
+
+
+def _assert_audit_names(table, pick):
+    # negate one entry of each stored block in turn: the audit names the
+    # block, the column's word and the expected and actual columns
+    red = reduce_structure(chain_structure(torus(), 2))
+    t, ref = build_cobar(red, 4), oracle.build_cobar(red, 4)
+    rise = 0 if table == "keep" else 1
+    blocks = t.d_keep if table == "keep" else t.d_up
+    assert sorted(blocks) == [(1, length) for length in range(1, 4 - rise)]
+    for key, block in sorted(blocks.items()):
+        length = key[1]
+        tampered, (col, row) = _negated(t, table, key, pick)
+
+        def terms(column):
+            return [[v, cobar.word_label(t, 0, length + rise, r)]
+                    for r, v in sorted(column.items())]
+
+        bad = [r for r in check_d_squared_cobar(tampered) if not r["ok"]]
+        clean = block.cols[col]
+        assert bad[0] == {
+            "source": f"degree 1, length {length}", "component": f"Leibniz {table}",
+            "ok": False, "length": length, "word": cobar.word_label(t, 1, length, col),
+            "expansion": [[-2 * clean[row], cobar.word_label(t, 0, length + rise, row)]],
+            "expected": terms(clean), "actual": terms({**clean, row: -clean[row]})}
+        # the reference's full D o D over every degree-2 word, on its own
+        # store negated the same way, agrees from length 2 on; no degree-2
+        # word has length 1 on a 2-dimensional input, so it cannot see a
+        # length-1 block, although a negated D(U) or D(L) changes the ranks
+        ref_tampered = _negated(ref, table, key, pick)[0]
+        assert _fails(oracle.check_d_squared_cobar(ref_tampered)) == (length > 1)
+        if key == (1, 1) and table == "keep":
+            assert _ranks(tampered) != _ranks(t)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_negated_keep_entry_is_named(pick):
+    _assert_audit_names("keep", pick)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_negated_up_entry_is_named(pick):
+    _assert_audit_names("up", pick)
+
+
+def test_degree_zero_block_is_named():
+    # degree-0 words are cycles; a hand-made block on them must fail, and
+    # the entry names the first word it moves
+    red = reduce_structure(chain_structure(torus(), 2))
+    t, ref = build_cobar(red, 3), oracle.build_cobar(red, 3)
+    cols = [{} for _ in range(t.word_count(0, 1))]
+    cols[1], cols[2] = {0: 1}, {0: -2}
+    block = ColumnBlock(1, cols)
+    report = check_d_squared_cobar(_with_block(t, "up", (0, 1), block))
+    entry = next(r for r in report if not r["ok"])
+    assert (entry["source"], entry["component"]) == ("degree 0, length 1", "Leibniz up")
+    assert entry["word"] == cobar.word_label(t, 0, 1, 1)
+    assert [v for v, _ in entry["expansion"]] == [1]
+    assert entry["expected"] == [] and entry["actual"] == entry["expansion"]
+    assert _fails(oracle.check_d_squared_cobar(_with_block(ref, "up", (0, 1), block)))
+
+
+def test_negated_diagonal_entry_fails_the_letter_check():
+    # Delta^3 with its vertices identified is a wedge of three circles, and
+    # its 3-simplex is a letter of degree 2, whose D^2 the letter check sums
+    red = reduce_structure(chain_structure(one_vertex_simplex(3), 2))
+    clean = build_cobar(red, 3)
+    assert _ranks(clean) == [1, 3, 9]
+    assert not _fails(check_d_squared_cobar(clean))
+    assert not _fails(oracle.check_d_squared_cobar(oracle.build_cobar(red, 3)))
+    m2 = red.op("m2_0")
+    col = m2.cols[3][0]
+    first = min(col)
+    cols = {**m2.cols, 3: {0: {**col, first: -col[first]}}}
+    ops = {**red.ops, "m2_0": GradedOperator._adopt(red.complex, red.complex, 2, 0, cols)}
+    bad = CoalgebraStructure(red.complex, ops, reduced=True, max_k=red.max_k, check=False)
+    # D on the stored degree-1 words does not read the 3-simplex, so only
+    # the letter check fails
+    assert [r for r in check_d_squared_cobar(build_cobar(bad, 3)) if not r["ok"]] == [
+        {"source": "degree 2, length 1", "component": "letter keep.up + up.keep", "ok": False,
+         "length": 1, "word": "0123",
+         "expansion": [[-2, "01(x)12"], [2, "01(x)13"], [-2, "01(x)23"]]},
+        {"source": "degree 2, length 1", "component": "letter up.up", "ok": False,
+         "length": 1, "word": "0123", "expansion": [[-2, "01(x)12(x)23"]]}]
+    want = [r for r in oracle.check_d_squared_cobar(oracle.build_cobar(bad, 3)) if not r["ok"]]
+    assert (want[0]["source"], want[0]["component"]) == ("degree 2, length 1", "keep.up + up.keep")
 
 
 def _assert_matches_oracle(x, max_len):
+    # the store holds the reference's words and blocks at every key the
+    # ranks read, and the check's verdict is the full D o D's
     red = reduce_structure(chain_structure(x, 2))
     t, want = build_cobar(red, max_len), oracle.build_cobar(red, max_len)
-    assert t.words == want.words
-    assert ({key: [t.word(*key, i) for i in range(len(codes))]
-             for key, codes in t.words.items()} == oracle.words(red, max_len))
-    assert t.d_keep == want.d_keep
-    assert t.d_up == want.d_up
-    assert check_d_squared_cobar(t) == oracle.check_d_squared_cobar(want)
+    assert set(t.words) == {(d, length) for d, length in want.words
+                            if d <= 1 and length < max_len}
+    decoded = oracle.words(red, max_len)
+    for key, codes in t.words.items():
+        assert codes == want.words[key]
+        assert [t.word(*key, i) for i in range(len(codes))] == decoded[key]
+    assert set(t.d_keep) == {(d, length) for d, length in want.d_keep
+                             if d == 1 and length < max_len}
+    assert set(t.d_up) == {(d, length) for d, length in want.d_up
+                           if d == 1 and length < max_len - 1}
+    for table, ref in ((t.d_keep, want.d_keep), (t.d_up, want.d_up)):
+        for key, block in table.items():
+            assert block == ref[key]
+    assert gr_h0_ranks(t) == gr_h0_ranks(want)
+    assert _fails(check_d_squared_cobar(t)) == _fails(oracle.check_d_squared_cobar(want))
 
 
-@pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2",))
-def test_cobar_matches_oracle(name):
-    # the words from codes and the blocks built column by column against
-    # the recursive words, entry-by-entry blocks and block products they
-    # replaced
+def _model(name):
     if name == "genus2":
-        x = _genus2_surface()
-    else:
-        x = parse_sset(fixture_path(name).read_text())
-    _assert_matches_oracle(x, 4)
+        return _genus2_surface()
+    if name == "delta3":
+        return one_vertex_simplex(3)
+    return parse_sset(fixture_path(name).read_text())
+
+
+@pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2", "delta3"))
+def test_cobar_matches_oracle(name):
+    _assert_matches_oracle(_model(name), 4)
 
 
 @pytest.mark.parametrize("name,max_len,seed", [("genus2", 3, 11), ("genus2", 4, 15), ("torus", 4, 12),
                                                ("wedge3", 4, 13), ("torus", 3, 14)])
 def test_relabelled_cobar_matches_oracle(name, max_len, seed):
     # a relabelling reorders the alphabet, and with it every code and block
-    x = _genus2_surface() if name == "genus2" else parse_sset(fixture_path(name).read_text())
-    _assert_matches_oracle(relabel(x, seed), max_len)
-
-
-def _negate_entry(t, table, pick=0):
-    """Negate an entry of a degree-2 block of ``table`` ("keep" or "up") in a
-    row whose degree-1 word has a nonzero length-preserving D: the
-    ``pick``-th in column order in the shortest such block.
-
-    Returns the tampered cobar and the label of the source word of that
-    entry, or None when no degree-2 entry meets a nonzero degree-1 column.
-    """
-    blocks = t.d_keep if table == "keep" else t.d_up
-    rise = 0 if table == "keep" else 1
-    for length in range(t.max_len + 1):
-        inner, outer = blocks.get((2, length)), t.d_keep.get((1, length + rise))
-        if inner is None or outer is None:
-            continue
-        keys = [(c, r) for c, col in enumerate(inner.cols) for r in sorted(col)
-                if outer.cols[r]]
-        if keys:
-            col, row = keys[pick]
-            cols = list(inner.cols)
-            cols[col] = {**cols[col], row: -cols[col][row]}
-            blocks = {**blocks, (2, length): ColumnBlock(inner.nrows, cols)}
-            d_keep, d_up = (blocks, t.d_up) if table == "keep" else (t.d_keep, blocks)
-            tampered = TruncatedCobar(t.structure, t.max_len, t.words, d_keep, d_up)
-            return tampered, cobar.word_label(t, 2, length, col)
-    return None
-
-
-def _assert_named(table, component, pick):
-    tampered, word = _negate_entry(_cobar(torus(), 4), table, pick)
-    report = check_d_squared_cobar(tampered)
-    assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(tampered))
-    bad = [r for r in report if not r["ok"]]
-    assert bad[0]["component"] == component
-    assert bad[0]["word"] == word
-    assert bad[0]["expansion"] and all(v for v, _ in bad[0]["expansion"])
-
-
-@pytest.mark.parametrize("pick", [0, -1])
-def test_negated_keep_entry_is_named(pick):
-    _assert_named("keep", "keep.keep", pick)
-
-
-@pytest.mark.parametrize("pick", [0, -1])
-def test_negated_up_entry_is_named(pick):
-    # a length-raising entry breaks the mixed component first
-    _assert_named("up", "keep.up + up.keep", pick)
+    _assert_matches_oracle(relabel(_model(name), seed), max_len)
 
 
 def _run_cli(monkeypatch, argv):
@@ -260,8 +340,7 @@ def _run_cli(monkeypatch, argv):
 
     def tampering(structure, max_len):
         t = real(structure, max_len)
-        hit = _negate_entry(t, "keep")
-        return t if hit is None else hit[0]
+        return _negated(t, "keep", (1, 1), 0)[0] if (1, 1) in t.d_keep else t
 
     monkeypatch.setattr(cobar, "build_cobar", tampering)
     out, err = io.StringIO(), io.StringIO()
@@ -276,12 +355,15 @@ def test_failing_cobar_exits_with_relation_violation(monkeypatch):
     error = json.loads(err)["error"]
     assert error["error"] == "RelationViolation"
     assert error["relation"] == "cobar D o D = 0"
-    # on the torus fixture the negated entry sits in the column of U(x)U,
-    # its first degree-2 word
-    assert (error["component"], error["length"]) == ("keep.keep", 2)
-    assert error["word"] == "U(x)U"
-    assert error["expansion"] == [[-2, "a(x)a"], [-2, "a(x)b"], [2, "a(x)c"]]
-    assert "U(x)U -> -2 a(x)a -2 a(x)b +2 a(x)c" in error["message"]
+    # on the torus fixture the negated entry is the coefficient of a in
+    # D(U) = -a - b + c, the first column of the first stored block
+    assert (error["source"], error["component"], error["length"]) == (
+        "degree 1, length 1", "Leibniz keep", 1)
+    assert error["word"] == "U"
+    assert error["expected"] == [[-1, "a"], [-1, "b"], [1, "c"]]
+    assert error["actual"] == [[1, "a"], [-1, "b"], [1, "c"]]
+    assert error["expansion"] == [[2, "a"]]
+    assert "Leibniz keep on degree 1, length 1: U -> +2 a" in error["message"]
 
 
 def test_failing_cobar_in_selfcheck_has_detail(monkeypatch):
@@ -290,20 +372,4 @@ def test_failing_cobar_in_selfcheck_has_detail(monkeypatch):
     checks = {c["check"]: c for c in json.loads(out)["results"]["checks"]}
     entry = checks["torus: cobar D o D = 0"]
     assert not entry["ok"]
-    assert entry["detail"].startswith("keep.keep on degree 2, length 2: ")
-
-
-def test_degree_zero_block_is_named():
-    # degree-0 words are cycles; a hand-made block on them must fail, and
-    # the entry names the first word it moves
-    t = _cobar(torus(), 3)
-    cols = [{} for _ in range(t.word_count(0, 1))]
-    cols[1], cols[2] = {0: 1}, {0: -2}
-    bad = TruncatedCobar(t.structure, t.max_len, t.words, t.d_keep,
-                         {**t.d_up, (0, 1): ColumnBlock(1, cols)})
-    report = check_d_squared_cobar(bad)
-    assert _verdicts(report) == _verdicts(oracle.check_d_squared_cobar(bad))
-    entry = report[-1]
-    assert (entry["source"], entry["ok"]) == ("degree 0, length 1", False)
-    assert entry["word"] == cobar.word_label(t, 0, 1, 1)
-    assert [v for v, _ in entry["expansion"]] == [1]
+    assert entry["detail"] == "Leibniz keep on degree 1, length 1: U -> +2 a"

@@ -2,12 +2,13 @@
 import random
 
 import pytest
+from models import in_column_span
 
 from einfty.chains import GradedOperator
 from einfty.coalgebra import chain_structure
 from einfty.errors import ShapeMismatch
 from einfty.homology import build_sdr, sdr_variant
-from einfty.intlinalg import IntMatrix, in_column_span
+from einfty.intlinalg import IntMatrix
 from einfty.simplicial import (circle, point, sphere, torus, wedge_of_circles)
 from einfty.transfer import (TransferPackage, compare_structures, transfer,
                              verify_relations)
