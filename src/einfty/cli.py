@@ -100,7 +100,7 @@ def cmd_coalgebra(args) -> dict:
 
 
 def cmd_transfer(args) -> dict:
-    from .coalgebra import chain_structure
+    from .coalgebra import chain_structure, expansion
     from .homology import build_sdr
     from .transfer import transfer, verify_relations
     x = _load_sset(_resolve_input(args.input))
@@ -114,11 +114,9 @@ def cmd_transfer(args) -> dict:
         entries = {}
         for d in h.degrees():
             for idx, label in enumerate(h.labels(d)):
-                img = op.image_of(d, idx)
-                if img:
-                    entries[str(label)] = [
-                        [coeff, "(x)".join(str(h.labels(e)[i]) for e, i in word) or "1"]
-                        for coeff, word in img]
+                terms = expansion(op, d, idx)
+                if terms:
+                    entries[str(label)] = terms
         operators[name] = entries
     return {
         "relations_violated": verify_relations(pkg),

@@ -1,19 +1,20 @@
 """The concrete coalgebra structure on normalized chains.
 
-The binary degree-0 operation is the front/back-face diagonal; the higher
-binary operations Delta_k are built from universal per-dimension tables of
+The binary operations Delta_k come from universal per-dimension tables of
 interval-cut terms.  A table entry assigns an integer coefficient to a pair
 of vertex subsets (S1, S2) of the standard n-simplex; the operator applies
 the corresponding iterated faces to every n-simplex, dropping degenerate
-factors.  Tables for k >= 1 are found once per (k, n) by solving the ladder
+factors.  Every table, the front/back-face diagonal Delta_0 included, is
+Steenrod's closed cup-k formula (see ``cup_table``), with its signs fixed
+against the ladder
 
-    [d, Delta_{k+1}] = Delta_k - (-1)^k T Delta_k
+    [d, Delta_{k+1}] = Delta_k - (-1)^k T Delta_k.
 
-as an integer linear system on the standard simplex.  Interval-cut terms
-are stable under simplicial maps and vanish termwise on degenerate
-simplices, so a table solution satisfies the same ladder on every
-simplicial set, degenerate faces included.  The ladder, not any particular
-closed formula, is the contract tests enforce.
+Interval-cut terms are stable under simplicial maps and vanish termwise on
+degenerate simplices, so the tables satisfy the same ladder on every
+simplicial set, degenerate faces included.  The ladder, not the formula,
+is the contract: ``CoalgebraStructure.verify`` checks it exactly on every
+structure it builds.
 
 Evaluation of symbolic fragment elements against an operator assignment
 lives here too; it is the bridge every structure-relation check goes
@@ -22,127 +23,52 @@ through.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
-from .chains import (ChainComplex, Columns, GradedOperator, TensorKey, pruned,
-                     bracket_d, identity_operator, sigma_twist, tensor_compose,
+from .chains import (ChainComplex, Columns, GradedOperator, pruned, bracket_d,
+                     identity_operator, sigma_twist, tensor_compose,
                      unit_complex, zero_operator)
 from .errors import MultipleVertices, RelationViolation
-from .intlinalg import IntMatrix, solve
 from .operads import generator, generator_differential
-from .simplicial import SimplicialSet, normalized_chains, standard_simplex
+from .simplicial import SimplicialSet, normalized_chains
 
 CutTerm = tuple[int, tuple[int, ...], tuple[int, ...]]  # (coeff, S1, S2)
 
 
-def _interval_cut_pairs(n: int, intervals: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Nondegenerate (S1, S2) pairs from interval cuts of [0..n]."""
-    pairs = set()
-    for cuts in combinations_with_replacement(range(n + 1), intervals - 1):
-        points = [0, *cuts, n]
-        segs = []
-        ok = True
-        for t in range(intervals):
-            lo, hi = points[t], points[t + 1]
-            segs.append(tuple(range(lo, hi + 1)))
-        for parity in (0, 1):
-            s = [[], []]
-            for t, seg in enumerate(segs):
-                s[(t + parity) % 2].extend(seg)
-            good = True
-            for side in s:
-                if any(a == b for a, b in zip(side, side[1:])):
-                    good = False
-                    break
-            if good:
-                pairs.add((tuple(s[0]), tuple(s[1])))
-    return sorted(pairs)
-
-
-@lru_cache(maxsize=None)
-def _standard_chain(n: int) -> ChainComplex:
-    return normalized_chains(standard_simplex(n))
-
-
-@lru_cache(maxsize=None)
-def _subset_index(n: int, d: int) -> dict[tuple[int, ...], int]:
-    """Vertex subset -> index among the d-simplices of the standard n-simplex,
-    which ``standard_simplex`` lists in ``combinations`` order."""
-    return {vs: i for i, vs in enumerate(combinations(range(n + 1), d + 1))}
-
-
-def _pair_word(n: int, s1: tuple[int, ...], s2: tuple[int, ...]) -> TensorKey:
-    """The tensor word of the face pair (S1, S2) of the standard n-simplex."""
-    d1, d2 = len(s1) - 1, len(s2) - 1
-    return ((d1, _subset_index(n, d1)[s1]), (d2, _subset_index(n, d2)[s2]))
-
-
-def _pair_vector(c: ChainComplex, n: int, total: int,
-                 terms: list[CutTerm]) -> IntMatrix:
-    vec = IntMatrix(c.tensor_rank(2, total), 1)
-    for coeff, s1, s2 in terms:
-        row = c.word_row(2, total, _pair_word(n, s1, s2))
-        vec[row, 0] = vec[row, 0] + coeff
-    return vec
-
-
 @lru_cache(maxsize=None)
 def cup_table(k: int, n: int) -> tuple[CutTerm, ...]:
-    """Coefficients of Delta_k on the standard n-simplex.
+    """Coefficients of Delta_k on the standard n-simplex, sorted by (S1, S2).
 
-    k = 0 is the front/back-face diagonal; higher tables solve the ladder.
+    There is one term per cut set C of k + 1 vertices of [0..n], so none
+    when k > n.  Number the other vertices u_1 < ... < u_{n-k}; those with
+    u_j - j - k even form U0, the rest U1.  The term is the pair
+    S1 = [0..n] - U0, S2 = [0..n] - U1, swapped when k is odd, with
+    coefficient
+
+        eps * (-1)^(o (o - 1) / 2 + alpha * sum(C)),
+
+    where o counts the odd elements of C, alpha = (n if k is odd else 0)
+    + (k + 1) // 2 and eps = (-1)^((k + 3) // 4 + (n if k = 3 mod 4 else 0)).
+    For k = 0 this is the front/back-face diagonal.  It is Steenrod's
+    cup-k coproduct (Ann. Math. 1947; Medina-Mardones, arXiv:2006.01894)
+    with the signs of the ladder in the module docstring.
     """
     if k < 0:
         raise ValueError("cup index must be nonnegative")
-    if k == 0:
-        return tuple((1, tuple(range(0, i + 1)), tuple(range(i, n + 1)))
-                     for i in range(n + 1))
-    if k > n:
-        return ()
-    prev = k - 1
-    c = _standard_chain(n)
-    pairs = _interval_cut_pairs(n, k + 2)
-    if not pairs:
-        raise RelationViolation(f"cup-{k} ladder", f"no candidate terms at dim {n}")
-    # right-hand side: R_{k-1}(iota_n) - (-1)^{k-1} Delta_k(d iota_n)
-    rk = _pair_vector(c, n, n + prev, list(cup_table(prev, n)))
-    rk = rk - _twist_vector(c, n, n + prev, list(cup_table(prev, n))).scale(
-        -1 if prev % 2 else 1)
-    lower = IntMatrix(c.tensor_rank(2, n + k - 1), 1)
-    for i in range(n + 1) if n >= 1 else []:
-        facet = tuple(v for v in range(n + 1) if v != i)
-        mapped = [(coeff, tuple(facet[a] for a in s1), tuple(facet[b] for b in s2))
-                  for coeff, s1, s2 in cup_table(k, n - 1)]
-        contrib = _pair_vector(c, n, n - 1 + k, mapped)
-        lower = lower + contrib.scale(-1 if i % 2 else 1)
-    rhs = rk - lower.scale(-1 if (k - 1) % 2 else 1)
-    # unknown coefficients on candidate pairs; columns = d_tensor(pair)
-    cols = IntMatrix(c.tensor_rank(2, n + k - 1), len(pairs))
-    for j, (s1, s2) in enumerate(pairs):
-        for v, face in c.word_boundary(_pair_word(n, s1, s2)):
-            row = c.word_row(2, n + k - 1, face)
-            cols[row, j] = cols[row, j] + v
-    sol = solve(cols, rhs)
-    if sol is None:
-        raise RelationViolation(f"cup-{k} ladder",
-                                f"integer solve failed at dimension {n}")
-    out = []
-    for j, (s1, s2) in enumerate(pairs):
-        coeff = sol[j, 0]
-        if coeff:
-            out.append((coeff, s1, s2))
-    return tuple(out)
-
-
-def _twist_vector(c: ChainComplex, n: int, total: int,
-                  terms: list[CutTerm]) -> IntMatrix:
-    """Vector of T applied to a pair combination (signed swap)."""
-    swapped = []
-    for coeff, s1, s2 in terms:
-        d1, d2 = len(s1) - 1, len(s2) - 1
-        sign = -1 if (d1 % 2) and (d2 % 2) else 1
-        swapped.append((sign * coeff, s2, s1))
-    return _pair_vector(c, n, total, swapped)
+    alpha = (n if k % 2 else 0) + (k + 1) // 2
+    eps = -1 if ((k + 3) // 4 + (n if k % 4 == 3 else 0)) % 2 else 1
+    terms = []
+    for cut in combinations(range(n + 1), k + 1):
+        rest = [v for v in range(n + 1) if v not in cut]
+        u0 = {u for j, u in enumerate(rest, 1) if (u - j - k) % 2 == 0}
+        s1 = tuple(v for v in range(n + 1) if v not in u0)
+        s2 = tuple(v for v in range(n + 1) if v in cut or v in u0)
+        if k % 2:
+            s1, s2 = s2, s1
+        odd = sum(v % 2 for v in cut)
+        flip = (odd * (odd - 1) // 2 + alpha * sum(cut)) % 2
+        terms.append((-eps if flip else eps, s1, s2))
+    return tuple(sorted(terms, key=lambda term: term[1:]))
 
 
 # -- operators on an actual simplicial set ------------------------------------
@@ -237,7 +163,7 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
     return total
 
 
-def _expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
+def expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
     """One basis image of ``op`` as [coefficient, word] pairs, the words
     spelled in cell labels ("1" for the empty word)."""
     labels = op.target.labels
@@ -256,7 +182,7 @@ def bracket_mismatch(relation: str, got: GradedOperator, want: GradedOperator) -
         for idx in sorted(set(have) | set(need)):
             if have.get(idx) != need.get(idx):
                 element = str(got.source.labels(d)[idx])
-                expected, actual = _expansion(want, d, idx), _expansion(got, d, idx)
+                expected, actual = expansion(want, d, idx), expansion(got, d, idx)
                 spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0"
                          for terms in (expected, actual)]
                 return {"relation": relation,
@@ -376,20 +302,15 @@ def operator_dump(s: CoalgebraStructure) -> dict:
         entries = {}
         for d in c.degrees():
             for idx, label in enumerate(c.labels(d)):
-                img = op.image_of(d, idx)
-                if not img:
-                    continue
                 terms = []
-                for coeff, word in img:
-                    factors = "(x)".join(str(c.labels(e)[i]) for (e, i) in word)
-                    if not word:
-                        factors = "1"
+                for coeff, factors in expansion(op, d, idx):
                     if coeff == 1:
                         terms.append(factors)
                     elif coeff == -1:
                         terms.append(f"-{factors}")
                     else:
                         terms.append(f"{coeff}*{factors}")
-                entries[str(label)] = " + ".join(terms).replace("+ -", "- ")
+                if terms:
+                    entries[str(label)] = " + ".join(terms).replace("+ -", "- ")
         out[name] = entries
     return out

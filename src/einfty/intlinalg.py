@@ -580,48 +580,6 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
                           for x, as_rows in zip((u, v, uinv, vinv), (True, False, False, True))))
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, U, V) with ``U @ m @ V == S``.
-
-    >>> s, u, v = smith_normal_form(IntMatrix.identity(3))
-    >>> s == IntMatrix.identity(3)
-    True
-    >>> s, u, v = smith_normal_form(IntMatrix.zero(2, 3))
-    >>> s.is_zero() and u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
-    True
-    """
-    sf = smith(m, ("u", "v"))
-    return sf.s, sf.u, sf.v
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, computed by fraction-free elimination."""
-    a = [row[:] for row in m.to_rows()]
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    for j in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pr = a[r]
-        for i in range(r + 1, nr):
-            ai = a[i]
-            if ai[j]:
-                g = gcd(ai[j], pr[j])
-                ca, cp = pr[j] // g, ai[j] // g
-                for k in range(j, nc):
-                    ai[k] = ca * ai[k] - cp * pr[k]
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
 def solve(m: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
     """A particular integer solution X of ``m @ X == rhs``, or None.
 

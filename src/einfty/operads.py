@@ -322,17 +322,7 @@ def multi_compose(inner: list[Element], outer: Element) -> Element:
     """
     out = outer
     for slot in range(len(inner), 0, -1):
-        acc: Element = {}
-        for (ty, ly), cy in out.items():
-            for (tx, lx), cx in inner[slot - 1].items():
-                mono, sign = _compose_mono((tx, lx), (ty, ly), slot)
-                c = sign * cx * cy
-                w = acc.get(mono, 0) + c
-                if w:
-                    acc[mono] = w
-                else:
-                    acc.pop(mono, None)
-        out = acc
+        out = _raw_compose_elements(inner[slot - 1], out, slot)
     return out
 
 

@@ -1,6 +1,7 @@
 """Shared by the tests: simplicial models (grid tori, one-vertex simplices,
 seeded relabellings) and small helpers that the package itself never calls."""
 import random
+from math import gcd
 
 from einfty.chains import ChainComplex, GradedOperator, identity_operator
 from einfty.homology import SDR
@@ -85,6 +86,31 @@ def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     for (i, j), v in b.data.items():
         data[(i + a.nrows, j)] = v
     return IntMatrix(a.nrows + b.nrows, a.ncols, data)
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals by fraction-free elimination: the reference
+    that ``smith(m).rank`` is checked against."""
+    a = m.to_rows()
+    nr, nc = m.nrows, m.ncols
+    r = 0
+    for j in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pr = a[r]
+        for i in range(r + 1, nr):
+            ai = a[i]
+            if ai[j]:
+                g = gcd(ai[j], pr[j])
+                ca, cp = pr[j] // g, ai[j] // g
+                for k in range(j, nc):
+                    ai[k] = ca * ai[k] - cp * pr[k]
+        r += 1
+        if r == nr:
+            break
+    return r
 
 
 def in_column_span(m: IntMatrix, vec) -> bool:

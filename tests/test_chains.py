@@ -316,12 +316,9 @@ def test_tensor_compose_matches_row_reference(name, arity, degree, data):
 
 
 def test_structure_and_reduction_rank_no_words(monkeypatch):
-    # Building, verifying and reducing a structure reads and writes words
-    # only.  The cup tables are universal and cached; their ladder solves
-    # on the standard simplex are matrix work, so they are fetched first.
-    for k in range(4):
-        for d in range(3):
-            cup_table(k, d)
+    # Building, verifying and reducing a structure, cup tables included,
+    # reads and writes words only.
+    cup_table.cache_clear()
     calls = []
     for method in ("word_row", "row_word"):
         real = getattr(ChainComplex, method)

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 from einfty import intlinalg, invariants, operads
 from einfty.cli import _class_report
 from einfty.intlinalg import (TRANSFORMS, IntMatrix, column_span_saturation,
-                              column_vector, kernel_basis,
-                              quotient_invariants, rank, smith, smith_normal_form,
-                              solve)
+                              column_vector, kernel_basis, quotient_invariants,
+                              smith, solve)
 from einfty.invariants import (InvariantWindow, class_equals, lie_lattice,
                                massey_invariant, sq_dual_invariant)
 
 from dense_smith_oracle import RemainderStep, dense_smith
-from models import in_column_span, vstack
+from models import in_column_span, rank, vstack
 from sparse_smith_oracle import sparse_smith
 
 
@@ -62,19 +61,19 @@ def minors_gcd_invariant_factors(rows):
 
 
 def test_example_matrix_has_factors_2_4():
-    s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    assert [s[0, 0], s[1, 1]] == [2, 4]
+    sf = smith(IntMatrix.from_rows([[2, 4], [6, 8]]), ("u", "v"))
+    assert [sf.s[0, 0], sf.s[1, 1]] == [2, 4]
     assert minors_gcd_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert (u @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ v) == s
+    assert (sf.u @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ sf.v) == sf.s
 
 
 def test_identity_and_zero():
-    s, u, v = smith_normal_form(IntMatrix.identity(3))
-    assert s == IntMatrix.identity(3)
-    assert u == IntMatrix.identity(3) and v == IntMatrix.identity(3)
-    s, u, v = smith_normal_form(IntMatrix.zero(2, 3))
-    assert s.is_zero()
-    assert u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
+    sf = smith(IntMatrix.identity(3), ("u", "v"))
+    assert sf.s == IntMatrix.identity(3)
+    assert sf.u == IntMatrix.identity(3) and sf.v == IntMatrix.identity(3)
+    sf = smith(IntMatrix.zero(2, 3), ("u", "v"))
+    assert sf.s.is_zero()
+    assert sf.u == IntMatrix.identity(2) and sf.v == IntMatrix.identity(3)
 
 
 small_matrix = st.integers(1, 4).flatmap(

@@ -1,9 +1,8 @@
 """Simplicial sets: parsing, identities, faces, chains."""
 import pytest
-from models import serialize
+from models import rank, serialize
 
 from einfty.errors import SSetParseError, SSetValidationError
-from einfty.intlinalg import rank
 from einfty.simplicial import (FaceRef, SimplicialSet, circle, front_back_faces,
                                normalized_chains, parse_sset, point,
                                projective_plane, render_cell, sphere,
