@@ -56,7 +56,6 @@ def _degree_data(c: ChainComplex) -> dict[int, dict]:
         kernel = sf_d.v.submatrix_columns(list(range(rho, c.rank(d))))
         bmat = sf_up.uinv.submatrix_columns(list(range(rho_up)))
         pre = sf_up.v.submatrix_columns(list(range(rho_up)))
-        factors = sf_up.invariant_factors()
         # boundary basis in kernel coordinates (always integral: the kernel
         # basis is primitive)
         x = solve(kernel, bmat) if rho_up else IntMatrix(z, 0)
@@ -65,14 +64,9 @@ def _degree_data(c: ChainComplex) -> dict[int, dict]:
         sfx = smith(x, ("uinv",))
         reps_kernel = sfx.uinv.submatrix_columns(list(range(rho_up, z)))
         out[d] = {
-            "sf_d": sf_d,
-            "rank_out": rho,
-            "rank_in": rho_up,
-            "kernel": kernel,
             "bmat": bmat,
             "pre": pre,
-            "factors_in": factors,
-            "torsion": [f for f in factors if f >= 2],
+            "torsion": [f for f in sf_up.invariant_factors() if f >= 2],
             "free_rank": z - rho_up,
             "reps": kernel @ reps_kernel,
             "amat": sf_d.v.submatrix_columns(list(range(rho))),

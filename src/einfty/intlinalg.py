@@ -179,6 +179,13 @@ class IntMatrix:
             cols[j][i] = v
         return cols
 
+    def column_entries(self) -> dict[int, list[tuple[int, int]]]:
+        """The (row, entry) pairs of every nonzero column, in one pass."""
+        cols: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), v in self.data.items():
+            cols.setdefault(j, []).append((i, v))
+        return cols
+
     def to_rows(self) -> list[list[int]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
         for (i, j), v in self.data.items():

@@ -16,6 +16,9 @@ the relevant components become
 where L3 is the degree-3 bracket lattice (the primitive closure of all
 left-normed brackets) and delta nu = (nu (x) 1) comul + (1 (x) nu) comul,
 the sign on the second term having been absorbed by the odd degree of H1.
+The presentation is written entry by entry into one sparse relation matrix,
+and the L3 coordinates of all brackets, then of all delta images, each come
+from one multi-column solve against the one factorization of L3.
 Quotients, memberships and equality of classes are all decided by Smith
 reduction -- nothing is computed modulo a prime.
 """
@@ -276,63 +279,66 @@ def delta_map(comul: IntMatrix, nu: IntMatrix, m: int) -> IntMatrix:
     """
     if nu.shape != (m * m, m) or comul.nrows != m * m:
         raise ShapeMismatch("delta_map shapes inconsistent")
-    r = comul.ncols
-    out = IntMatrix(m ** 3, r)
-    for s in range(r):
-        acc = [0] * (m ** 3)
-        col = comul.column(s)
-        for jk, c in enumerate(col):
-            if not c:
-                continue
+    nu_cols = nu.column_entries()
+    out: dict[tuple[int, int], int] = {}
+    for s, col in comul.column_entries().items():
+        for jk, c in col:
             j, k = divmod(jk, m)
-            for ab, v in enumerate(nu.column(j)):
-                if v:
-                    acc[ab * m + k] += c * v
-            for ab, v in enumerate(nu.column(k)):
-                if v:
-                    acc[j * m * m + ab] += c * v
-        for t, v in enumerate(acc):
-            if v:
-                out[t, s] = v
-    return out
+            for ab, v in nu_cols.get(j, ()):
+                key = (ab * m + k, s)
+                out[key] = out.get(key, 0) + c * v
+            for ab, v in nu_cols.get(k, ()):
+                key = (j * m * m + ab, s)
+                out[key] = out.get(key, 0) + c * v
+    return IntMatrix(m ** 3, comul.ncols, out)
 
 
 def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
-    """Presentation of Hom(H2, L3/[H1, comul(H2)]) / delta Hom(H1, [H1,H1])."""
+    """Presentation of Hom(H2, L3/[H1, comul(H2)]) / delta Hom(H1, [H1,H1]).
+
+    The relation columns are the brackets [e_i, comul(s_u)] in every H2 slot,
+    then delta of every basis map H1 -> [H1, H1], each in L3 coordinates and
+    with the zero columns dropped.
+    """
     lie = lie_lattice(m)
-    ambient = r * lie.rank3
-    rel_cols: list[list[int]] = []
-    # [H1, comul(H2)] in every H2 slot: the denominator brackets against the
-    # image of the whole second homology, independently of the slot
-    brackets = IntMatrix.from_columns(
-        [_bracket_with_left(m, i, comul.column(u)) for u in range(r) for i in range(m)],
-        nrows=m ** 3)
-    coords = lie.degree3_smith.solve(brackets)
+    mm, rank3 = m * m, lie.rank3
+    # [e_i, comul(s_u)] = e_i (x) comul(s_u) - comul(s_u) (x) e_i as column u*m + i
+    brackets: dict[tuple[int, int], int] = {}
+    for u, col in comul.column_entries().items():
+        for i in range(m):
+            for jk, c in col:
+                left, right = (i * mm + jk, u * m + i), (jk * m + i, u * m + i)
+                brackets[left] = brackets.get(left, 0) + c
+                brackets[right] = brackets.get(right, 0) - c
+    coords = lie.degree3_smith.solve(IntMatrix(m ** 3, r * m, brackets))
     if coords is None:
         raise AssertionError("bracket with comul image left the lattice")
-    for s in range(r):
-        for c in coords.columns():
-            col = [0] * ambient
-            col[s * lie.rank3:(s + 1) * lie.rank3] = c
-            if any(col):
-                rel_cols.append(col)
-    # delta of every basis map H1 -> [H1, H1]
+    # the denominator brackets against the image of the whole second
+    # homology, independently of the slot
+    by_bracket = coords.column_entries()
+    columns = [[(s * rank3 + t, v) for t, v in by_bracket[q]]
+               for s in range(r) for q in sorted(by_bracket)]
+    # delta of the basis map e_a -> (bracket w), as columns b*r + s with
+    # b = a*rank2 + w, all solved against the one factorization
+    deltas: dict[tuple[int, int], int] = {}
+    brackets2 = lie.degree2.column_entries()
     for a in range(m):
-        for w_idx in range(lie.rank2):
-            nu = IntMatrix(m * m, m)
-            for i, v in enumerate(lie.degree2.column(w_idx)):
-                if v:
-                    nu[i, a] = v
-            coords = lie.degree3_smith.solve(delta_map(comul, nu, m))
-            if coords is None:
-                raise AssertionError("delta image left the bracket lattice")
-            col = [0] * ambient
-            for (t, s), v in coords.data.items():
-                col[s * lie.rank3 + t] = v
-            if any(col):
-                rel_cols.append(col)
-    relations = IntMatrix.from_columns(rel_cols, nrows=ambient)
-    return FpAbelianGroup(ambient, relations)
+        for w in range(lie.rank2):
+            nu = IntMatrix(mm, m, {(i, a): v for i, v in brackets2[w]})
+            b = a * lie.rank2 + w
+            for (t, s), v in delta_map(comul, nu, m).data.items():
+                deltas[t, b * r + s] = v
+    coords = lie.degree3_smith.solve(IntMatrix(m ** 3, m * lie.rank2 * r, deltas))
+    if coords is None:
+        raise AssertionError("delta image left the bracket lattice")
+    by_map: dict[int, list[tuple[int, int]]] = {}
+    for (t, bs), v in coords.data.items():
+        b, s = divmod(bs, r)
+        by_map.setdefault(b, []).append((s * rank3 + t, v))
+    columns += (by_map[b] for b in sorted(by_map))
+    ambient = r * rank3
+    return FpAbelianGroup(ambient, IntMatrix._adopt(
+        ambient, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col}))
 
 
 def massey_invariant(p) -> InvariantClass:

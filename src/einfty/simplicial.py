@@ -77,6 +77,7 @@ class SimplicialSet:
                 if name in self.dim_of:
                     raise SSetParseError(f"duplicate simplex name {name!r}")
                 self.dim_of[name] = d
+        self._vertex_faces: dict[tuple[str, tuple[int, ...]], Cell] = {}
         if check:
             report = self.validate()
             if report:
@@ -139,12 +140,17 @@ class SimplicialSet:
         return result
 
     def face_on_vertices(self, name: str, vertices: tuple[int, ...]) -> Cell:
-        """Iterated face keeping only the listed vertex positions (sorted)."""
-        d = self.dim_of[name]
-        cell: Cell = ((), name)
-        removed = [i for i in range(d + 1) if i not in set(vertices)]
-        for i in reversed(removed):
-            cell = self.face(i, cell)
+        """Iterated face keeping only the listed vertex positions (sorted),
+        computed once per (name, vertices): the instance is never mutated."""
+        key = (name, vertices)
+        cell = self._vertex_faces.get(key)
+        if cell is None:
+            cell = ((), name)
+            kept = set(vertices)
+            for i in reversed(range(self.dim_of[name] + 1)):
+                if i not in kept:
+                    cell = self.face(i, cell)
+            self._vertex_faces[key] = cell
         return cell
 
     # -- queries ---------------------------------------------------------------

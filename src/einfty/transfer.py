@@ -22,7 +22,7 @@ just as conforming -- the relation list is the contract.
 from __future__ import annotations
 
 from .chains import (ChainComplex, GradedOperator, bracket_d, compose_slot,
-                     plain_compose, pruned, tensor_compose, transpose_swap)
+                     plain_compose, tensor_compose, transpose_swap)
 from .coalgebra import CoalgebraStructure, bracket_mismatch, evaluate, violation
 from .errors import ShapeMismatch
 from .homology import SDR
@@ -78,7 +78,8 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
             plain_compose(hat_ops["m3_1"], f) + p_op, h)
 
     close_arity3(hat, morph)
-    nu = _normalizing_correction(hat)
+    pkg = TransferPackage(source, sdr, hat, morph)
+    nu = _normalizing_correction(pkg)
     if nu is not None:
         # Shift the binary morphism component by nu o f and compensate the
         # degree-1 coproduct by nu - sigma nu; every relation survives, and
@@ -87,14 +88,13 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
         hat["m2_1"] = hat["m2_1"] + nu - transpose_swap(nu)
         close_arity3(hat, morph)
 
-    pkg = TransferPackage(source, sdr, hat, morph)
     bad = verify_relations(pkg)
     if bad:
         raise violation(bad[0])
     return pkg
 
 
-def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | None:
+def _normalizing_correction(pkg: TransferPackage) -> GradedOperator | None:
     """A mixed-component correction pushing the triple window into brackets.
 
     The freedom used is the one the relation list leaves open: for any nu of
@@ -106,78 +106,44 @@ def _normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | 
     possible; None means either nothing to do or no integral solution (the
     class is then honestly not defined for this package).
     """
-    from .invariants import lie_lattice  # local import; no cycle at module load
+    from .invariants import lie_lattice, window_from_package  # no cycle at module load
 
-    h_cx = hat["m2_0"].source
-    m, r = h_cx.rank(1), h_cx.rank(2)
+    w = window_from_package(pkg)
+    m, r = w.h1_rank, w.h2_rank
     if m == 0 or r == 0:
         return None
-    comul_cols = []
-    for u in range(r):
-        col = [0] * (m * m)
-        for coeff, word in hat["m2_0"].image_of(2, u):
-            if all(e == 1 for e, _ in word):
-                (_, i), (_, j) = word
-                col[i * m + j] = coeff
-        comul_cols.append(col)
     lie = lie_lattice(m)
-    # shift generators: comul(s_u) (x) e_a and e_a (x) comul(s_u)
-    shifts = []
-    shift_tags = []
-    for u in range(r):
-        w = comul_cols[u]
-        for a in range(m):
-            left = [0] * (m ** 3)
-            right = [0] * (m ** 3)
-            for jk, c in enumerate(w):
-                if c:
-                    left[jk * m + a] += c
-                    right[a * m * m + jk] += c
-            shifts.append(left)
-            shift_tags.append(("left", u, a))
-            shifts.append(right)
-            shift_tags.append(("right", u, a))
-    if not shifts:
+    cube = m ** 3
+    triple = w.triple.column_entries()
+    outside = [s for s, col in sorted(triple.items()) if lie.degree3_smith.solve(
+        IntMatrix._adopt(cube, 1, {(t, 0): v for t, v in col})) is None]
+    if not outside:
         return None
-    basis = lie.degree3
-    cols = basis
-    for s in shifts:
-        cols = cols.hstack(IntMatrix.from_columns([s], nrows=m ** 3))
-    nu_entries: dict[tuple[int, int], int] = {}
-    needed = False
-    for s in range(r):
-        mu = [0] * (m ** 3)
-        for coeff, word in hat["m3_1"].image_of(2, s):
-            if all(e == 1 for e, _ in word):
-                (_, i), (_, j), (_, k) = word
-                mu[(i * m + j) * m + k] = coeff
-        vec = IntMatrix.from_columns([mu], nrows=m ** 3)
-        if lie.degree3_smith.solve(vec) is not None:
-            continue
-        sol = solve(cols, vec)
-        if sol is None:
-            return None
-        needed = True
-        for t, tag in enumerate(shift_tags):
-            y = sol[basis.ncols + t, 0]
-            if not y:
-                continue
-            side, u, a = tag
-            # Delta mu = +comul(s') (x) x on the s'-(x)-x part of nu and
-            # -x (x) comul(s') on the x-(x)-s' part; subtract the found
-            # combination.
-            if side == "left":
-                nu_entries[("sx", s, u, a)] = nu_entries.get(("sx", s, u, a), 0) - y
-            else:
-                nu_entries[("xs", s, u, a)] = nu_entries.get(("xs", s, u, a), 0) + y
-    if not needed or not nu_entries:
+    # shift generators, column 2(u*m + a) + side: comul(s_u) (x) e_a (side
+    # 0) and e_a (x) comul(s_u) (side 1), after the lattice basis
+    shifts = {}
+    for u, col in w.comul.column_entries().items():
+        for a in range(m):
+            for jk, c in col:
+                shifts[jk * m + a, 2 * (u * m + a)] = c
+                shifts[a * m * m + jk, 2 * (u * m + a) + 1] = c
+    cols = lie.degree3.hstack(IntMatrix._adopt(cube, 2 * r * m, shifts))
+    sol = solve(cols, IntMatrix._adopt(cube, len(outside), {
+        (t, n): v for n, s in enumerate(outside) for t, v in triple[s]}))
+    if sol is None:
         return None
     block: dict[int, dict] = {}
-    for (kind, s, u, a), val in nu_entries.items():
-        word = ((2, u), (1, a)) if kind == "sx" else ((1, a), (2, u))
-        col = block.setdefault(s, {})
-        col[word] = col.get(word, 0) + val
-    return GradedOperator._adopt(h_cx, h_cx, 2, 1, pruned({2: block}))
+    for (row, n), y in sol.data.items():
+        if row < lie.rank3:
+            continue
+        ua, side = divmod(row - lie.rank3, 2)
+        u, a = divmod(ua, m)
+        # Delta mu = +comul(s') (x) x on the s'-(x)-x part of nu and
+        # -x (x) comul(s') on the x-(x)-s' part; subtract the found
+        # combination.
+        word, val = (((2, u), (1, a)), -y) if side == 0 else (((1, a), (2, u)), y)
+        block.setdefault(outside[n], {})[word] = val
+    return GradedOperator._adopt(pkg.homology, pkg.homology, 2, 1, {2: block})
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:

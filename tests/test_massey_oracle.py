@@ -1,0 +1,124 @@
+"""The sparse Massey presentation and normalizing correction against the
+dense reference code in ``massey_oracle.py``."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from massey_oracle import delta_map as oracle_delta_map
+from massey_oracle import massey_group as oracle_massey_group
+from massey_oracle import normalizing_correction as oracle_correction
+from models import grid_torus, identity_sdr, relabel
+from test_cobar import _genus2_surface
+
+from einfty import transfer as transfer_module
+from einfty.chains import ChainComplex, GradedOperator, pruned
+from einfty.coalgebra import chain_structure
+from einfty.homology import build_sdr
+from einfty.intlinalg import IntMatrix
+from einfty.invariants import delta_map, massey_group
+from einfty.simplicial import torus
+
+
+@st.composite
+def comul_windows(draw):
+    """(m, r, comul) with m <= 5, r <= 4 and antisymmetric comul columns."""
+    m, r = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    comul = IntMatrix(m * m, r)
+    for s in range(r):
+        for i in range(m):
+            for j in range(i + 1, m):
+                c = draw(st.integers(-3, 3))
+                comul[i * m + j, s] = c
+                comul[j * m + i, s] = -c
+    return m, r, comul
+
+
+def _dense(draw, nrows, ncols):
+    return IntMatrix.from_rows([draw(st.lists(st.integers(-3, 3), min_size=ncols,
+                                              max_size=ncols)) for _ in range(nrows)],
+                               ncols=ncols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(comul_windows())
+def test_massey_group_relations_match_oracle(window):
+    # entry for entry, hence also the column order and the dropped columns
+    m, r, comul = window
+    got, want = massey_group(m, r, comul), oracle_massey_group(m, r, comul)
+    assert got.ambient_rank == want.ambient_rank
+    assert got.relations == want.relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_delta_map_matches_oracle_on_dense_nu(m, r, data):
+    comul = _dense(data.draw, m * m, r)
+    nu = _dense(data.draw, m * m, m)
+    assert delta_map(comul, nu, m) == oracle_delta_map(comul, nu, m)
+
+
+def _corrections(x, monkeypatch):
+    """What ``_normalizing_correction`` returned while ``x`` was transferred,
+    next to the oracle's answer on the same uncorrected operators."""
+    seen = []
+    real = transfer_module._normalizing_correction
+
+    def spy(pkg):
+        hat = dict(pkg.hat_ops)  # transfer replaces entries after the call
+        got = real(pkg)
+        seen.append((got, oracle_correction(hat)))
+        return got
+
+    monkeypatch.setattr(transfer_module, "_normalizing_correction", spy)
+    s = chain_structure(x, 3)
+    transfer_module.transfer(s, build_sdr(s.complex))
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("n,seed", [(None, None), (2, 41), (3, 42), (4, 43)])
+def test_correction_matches_oracle_on_tori(n, seed, monkeypatch):
+    x = torus() if n is None else relabel(grid_torus(n), seed)
+    got, want = _corrections(x, monkeypatch)
+    assert want is not None
+    assert got == want
+
+
+def test_correction_is_none_on_genus2_surface(monkeypatch):
+    assert _corrections(_genus2_surface(), monkeypatch) == (None, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_correction_matches_oracle_on_drawn_windows(m, r, data):
+    # homology-level operators drawn directly: an antisymmetric comul, and a
+    # triple made of shift generators on both sides, plus noise on some
+    # draws, so that both solvable and unsolvable windows occur
+    h = ChainComplex({0: ("p",), 1: [f"a{i}" for i in range(m)],
+                      2: [f"s{u}" for u in range(r)]}, {})
+    coeff = st.integers(-2, 2)
+    comul = {}
+    for u in range(r):
+        col = comul[u] = {}
+        for i in range(m):
+            for j in range(i + 1, m):
+                c = data.draw(coeff)
+                col[(1, i), (1, j)], col[(1, j), (1, i)] = c, -c
+    noisy = data.draw(st.booleans())
+    triple = {}
+    for s in range(r):
+        col = triple[s] = {}
+        for u in range(r):
+            for a in range(m):
+                x, y = data.draw(coeff), data.draw(coeff)
+                for (e1, e2), c in comul[u].items():
+                    for word, v in (((e1, e2, (1, a)), x), (((1, a), e1, e2), y)):
+                        col[word] = col.get(word, 0) + v * c
+        if noisy:
+            word = tuple((1, data.draw(st.integers(0, m - 1))) for _ in range(3)) if m else ()
+            if word:
+                col[word] = col.get(word, 0) + data.draw(coeff)
+    hat = {"m2_0": GradedOperator._adopt(h, h, 2, 0, pruned({2: comul})),
+           "m2_1": GradedOperator._adopt(h, h, 2, 1, {}),
+           "m3_1": GradedOperator._adopt(h, h, 3, 1, pruned({2: triple}))}
+    pkg = transfer_module.TransferPackage(None, identity_sdr(h), hat, {})
+    assert transfer_module._normalizing_correction(pkg) == oracle_correction(hat)
