@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -334,4 +335,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()  # argparse's --help and usage errors leave by SystemExit
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)  # the report is out: skip the interpreter's teardown

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .errors import EinftyError, FileAccessError, RelationViolation
 from .intlinalg import IntMatrix
-from .invariants import InvariantWindow
 
 SSET_FIXTURES = ("point", "circle", "wedge2", "wedge3", "sphere", "torus", "rp2")
 COALG_FIXTURES = ("borromean", "zero")
@@ -73,8 +72,9 @@ def read_text(path: str | Path) -> str:
         raise FileAccessError(path, f"cannot read: {exc.strerror or exc}") from exc
 
 
-def load_structure_fixture(path: str | Path) -> InvariantWindow:
-    """Load and validate a ``.coalg`` window file."""
+def load_structure_fixture(path: str | Path):
+    """Load and validate a ``.coalg`` window file as an ``InvariantWindow``."""
+    from .invariants import InvariantWindow  # only the commands that read windows load it
     text = read_text(path)
     try:
         data = json.loads(text)

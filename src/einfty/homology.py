@@ -1,11 +1,15 @@
 """Integral homology and strong deformation retractions onto homology.
 
-The retraction is built degreewise from one Smith reduction per boundary
-matrix: each C_d splits as B (+) H (+) A where B is spanned by boundaries
-with chosen preimages, H by cycle representatives, and the differential
-maps A isomorphically onto B one degree down.  With h defined as minus the
-preimage map on B and zero elsewhere, all five side conditions hold on the
-nose, no post-normalization needed:
+All is read off one Smith reduction U ∂ V = S per boundary matrix and one
+of X, the boundaries in cycle coordinates, per degree; nothing is inverted.
+In degree d, with ρ = rank ∂_d and ρ' = rank ∂_{d+1}, K = V_d[:, ρ:] spans
+the cycles and T = V_d⁻¹[ρ:, :] gives their coordinates.  The boundaries
+B = U_{d+1}⁻¹[:, :ρ'], with preimages pre = V_{d+1}[:, :ρ'], have X = T B,
+and U_x X V_x = S_x gives the torsion and the representatives
+reps = K U_x⁻¹[:, ρ':].  Torsion-free, C_d = B (+) H (+) V_d[:, :ρ] with H
+spanned by reps, S_x = [I; 0] and [X | U_x⁻¹[:, ρ':]]⁻¹ = diag(V_x, I) U_x.
+So f = U_x[ρ':, :] T and h = -pre V_x U_x[:ρ', :] T, minus the preimage
+map on B, and all five side conditions hold on the nose:
 
     f g = id,   g f = id + d h + h d,   h h = f h = h g = 0.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 from .chains import (ChainComplex, GradedOperator, boundary_operator,
                      identity_operator, plain_compose)
 from .errors import TorsionPresent
-from .intlinalg import IntMatrix, smith, solve
+from .intlinalg import IntMatrix, smith
 
 
 class HomologyReport:
@@ -39,37 +43,39 @@ class HomologyReport:
                 for d in self.degrees()}
 
 
-def _degree_data(c: ChainComplex) -> dict[int, dict]:
-    """Per-degree Smith data shared by homology() and build_sdr()."""
+def _row_block(m: IntMatrix, lo: int, hi: int) -> IntMatrix:
+    """Rows lo..hi-1 of ``m``."""
+    return IntMatrix._adopt(hi - lo, m.ncols, {(i - lo, j): v for (i, j), v in m.data.items()
+                                               if lo <= i < hi})
+
+
+def _degree_data(c: ChainComplex, x_transforms: tuple[str, ...] = ("uinv",)) -> dict[int, dict]:
+    """Per-degree Smith data shared by homology() and build_sdr(); X, the
+    boundaries in cycle coordinates, is factored with ``x_transforms``."""
     degs = c.degrees()
     if not degs:
         return {}
     out: dict[int, dict] = {}
-    sf_cache = {d: smith(c.boundary_matrix(d), ("v", "uinv"))
+    sf_cache = {d: smith(c.boundary_matrix(d), ("v", "vinv", "uinv"))
                 for d in range(degs[0], degs[-1] + 2)}
     for d in degs:
         sf_d = sf_cache[d]          # boundary out of degree d
         sf_up = sf_cache[d + 1]     # boundary into degree d
-        rho = sf_d.rank
-        rho_up = sf_up.rank
-        z = c.rank(d) - rho
-        kernel = sf_d.v.submatrix_columns(list(range(rho, c.rank(d))))
-        bmat = sf_up.uinv.submatrix_columns(list(range(rho_up)))
-        pre = sf_up.v.submatrix_columns(list(range(rho_up)))
-        # boundary basis in kernel coordinates (always integral: the kernel
-        # basis is primitive)
-        x = solve(kernel, bmat) if rho_up else IntMatrix(z, 0)
-        if x is None:
+        rho, rho_up, n = sf_d.rank, sf_up.rank, c.rank(d)
+        kernel = sf_d.v.submatrix_columns(range(rho, n))
+        coords = _row_block(sf_d.vinv, rho, n)  # T
+        bmat = sf_up.uinv.submatrix_columns(range(rho_up))
+        x = coords @ bmat
+        if kernel @ x != bmat:
             raise AssertionError("boundary not inside the cycle lattice")
-        sfx = smith(x, ("uinv",))
-        reps_kernel = sfx.uinv.submatrix_columns(list(range(rho_up, z)))
+        sfx = smith(x, x_transforms)
         out[d] = {
-            "bmat": bmat,
-            "pre": pre,
+            "coords": coords,
+            "pre": sf_up.v.submatrix_columns(range(rho_up)),
             "torsion": [f for f in sf_up.invariant_factors() if f >= 2],
-            "free_rank": z - rho_up,
-            "reps": kernel @ reps_kernel,
-            "amat": sf_d.v.submatrix_columns(list(range(rho))),
+            "free_rank": n - rho - rho_up,
+            "reps": kernel @ sfx.uinv.submatrix_columns(range(rho_up, n - rho)),
+            "x": sfx,
         }
     return out
 
@@ -148,7 +154,7 @@ def build_sdr(c: ChainComplex) -> SDR:
     otherwise.  The retract has zero differential and its basis corresponds
     to the representatives reported by :func:`homology`.
     """
-    data = _degree_data(c)
+    data = _degree_data(c, ("u", "v", "uinv"))
     for d, info in data.items():
         if info["torsion"]:
             raise TorsionPresent(d, info["torsion"][0])
@@ -161,25 +167,12 @@ def build_sdr(c: ChainComplex) -> SDR:
     g_blocks: dict[int, IntMatrix] = {}
     h_blocks: dict[int, IntMatrix] = {}
     for d, info in data.items():
-        n = c.rank(d)
-        bmat, reps, amat, pre = info["bmat"], info["reps"], info["amat"], info["pre"]
-        p = bmat.hstack(reps).hstack(amat)
-        if p.shape != (n, n):
-            raise AssertionError(f"splitting of degree {d} is not square: {p.shape}")
-        pinv = solve(p, IntMatrix.identity(n))
-        if pinv is None:
-            raise AssertionError(f"splitting of degree {d} is not unimodular")
-        nb = bmat.ncols
-        nh = reps.ncols
-        rows_b = list(range(nb))
-        rows_h = list(range(nb, nb + nh))
-        proj_b = pinv.transpose().submatrix_columns(rows_b).transpose()
-        proj_h = pinv.transpose().submatrix_columns(rows_h).transpose()
-        if nh:
-            f_blocks[d] = proj_h
-            g_blocks[d] = reps
+        coords, sfx, nb = info["coords"], info["x"], info["pre"].ncols
+        if info["free_rank"]:
+            f_blocks[d] = _row_block(sfx.u, nb, coords.nrows) @ coords
+            g_blocks[d] = info["reps"]
         if nb:
-            h_blocks[d] = (-pre) @ proj_b
+            h_blocks[d] = (-info["pre"]) @ (sfx.v @ _row_block(sfx.u, 0, nb) @ coords)
     f = GradedOperator(c, h_cx, 1, 0, f_blocks)
     g = GradedOperator(h_cx, c, 1, 0, g_blocks)
     h = GradedOperator(c, c, 1, 1, h_blocks)

@@ -32,6 +32,33 @@ def grid_torus(n: int) -> SimplicialSet:
     return SimplicialSet(simplices, faces)
 
 
+def fan_surface(g: int) -> SimplicialSet:
+    """Single vertex, 6g - 3 edges, 4g - 2 triangles: the fan triangulation
+    of the 4g-gon a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1 from its corner P_0.
+
+    Triangle k has corners P_0, P_k, P_{k+1} and the diagonal D_j runs from
+    P_0 to P_j, so D_1 = a1 and D_{4g-1} = bg.  A side read backwards puts
+    P_{k+1} before P_k in the triangle's vertex order.
+    """
+    sides = [(f"{x}{i}", sign) for i in range(1, g + 1) for sign in (1, -1)
+             for x in "ab"]
+
+    def diagonal(j):
+        return {1: "a1", 4 * g - 1: f"b{g}"}.get(j, f"D{j}")
+
+    v = FaceRef((), "v")
+    edges = [f"{x}{i}" for i in range(1, g + 1) for x in "ab"]
+    edges += [f"D{j}" for j in range(2, 4 * g - 1)]
+    faces = {e: (v, v) for e in edges}
+    triangles = []
+    for k in range(1, 4 * g - 1):
+        letter, direction = sides[k]
+        ends = (diagonal(k + 1), diagonal(k)) if direction > 0 else (diagonal(k), diagonal(k + 1))
+        triangles.append(f"T{k}")
+        faces[f"T{k}"] = tuple(FaceRef((), f) for f in (letter,) + ends)
+    return SimplicialSet({0: ["v"], 1: edges, 2: triangles}, faces)
+
+
 def relabel(x: SimplicialSet, seed: int) -> SimplicialSet:
     """The same simplicial set with its cells renamed and reordered."""
     rng = random.Random(seed)

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import cobar_oracle as oracle
 import pytest
-from models import grid_torus, one_vertex_simplex, relabel
+from models import fan_surface, grid_torus, one_vertex_simplex, relabel
 
 from einfty import cli, cobar
 from einfty.chains import GradedOperator
@@ -14,8 +14,8 @@ from einfty.cobar import (ColumnBlock, TruncatedCobar, build_cobar, check_d_squa
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
 from einfty.errors import MultipleVertices, NotReduced
 from einfty.formats import SSET_FIXTURES, fixture_path
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, parse_sset, point,
-                               projective_plane, sphere, torus, wedge_of_circles)
+from einfty.simplicial import (circle, parse_sset, point, projective_plane, sphere, torus,
+                               wedge_of_circles)
 
 
 def _cobar(x, n, max_k=2):
@@ -62,36 +62,10 @@ def test_torus_oracle_commuting_letters():
     assert _torsion(t) == [[]] * 4
 
 
-def _genus2_surface() -> SimplicialSet:
-    """Single vertex, 9 edges, 6 triangles: the fan triangulation of the
-    octagon a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 from its corner P_0.
-
-    Triangle k has corners P_0, P_k, P_{k+1} and the diagonal D_j runs from
-    P_0 to P_j, so D_1 = a1 and D_7 = b2.  A side read backwards puts
-    P_{k+1} before P_k in the triangle's vertex order.
-    """
-    sides = [("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
-             ("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1)]
-
-    def diagonal(j):
-        return {1: "a1", 7: "b2"}.get(j, f"D{j}")
-
-    v = FaceRef((), "v")
-    edges = ["a1", "b1", "a2", "b2"] + [f"D{j}" for j in range(2, 7)]
-    faces = {e: (v, v) for e in edges}
-    triangles = []
-    for k in range(1, 7):
-        letter, direction = sides[k]
-        ends = (diagonal(k + 1), diagonal(k)) if direction > 0 else (diagonal(k), diagonal(k + 1))
-        triangles.append(f"T{k}")
-        faces[f"T{k}"] = tuple(FaceRef((), f) for f in (letter,) + ends)
-    return SimplicialSet({0: ["v"], 1: edges, 2: triangles}, faces)
-
-
 def test_genus2_surface_oracle():
     # gr of the group ring of a genus-g surface group has the Hilbert
     # series 1 / (1 - 2g t + t^2): ranks 1, 4, 15, 56 for g = 2
-    t = _cobar(_genus2_surface(), 4)
+    t = _cobar(fan_surface(2), 4)
     assert _ranks(t) == [1, 4, 15, 56]
     assert _torsion(t) == [[]] * 4
 
@@ -316,7 +290,7 @@ def _assert_matches_oracle(x, max_len):
 
 def _model(name):
     if name == "genus2":
-        return _genus2_surface()
+        return fan_surface(2)
     if name == "delta3":
         return one_vertex_simplex(3)
     return parse_sset(fixture_path(name).read_text())

@@ -149,6 +149,43 @@ def test_cli_selfcheck_green():
     assert all(c["ok"] for c in rep["results"]["checks"])
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(einfty.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.parametrize("argv,out,code", [
+    (["homology", "torus"], False, 0),
+    (["coalgebra", "circle"], True, 0),
+    (["transfer", "rp2"], False, 1),
+    (["cobar", "torus", "--bogus"], False, 2),
+], ids=["stdout-report", "out-file", "error-payload", "usage-error"])
+def test_module_run_matches_in_process_main(tmp_path, monkeypatch, argv, out, code):
+    # ``python -m einfty.cli`` flushes and leaves by os._exit: nothing
+    # written may be lost and the exit code must be main's
+    monkeypatch.setenv("COLUMNS", "80")
+    if out:
+        argv = argv + ["--out", str(tmp_path / "report.json")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    report = (tmp_path / "report.json").read_bytes() if out else b""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # buffered pipes, so that a lost flush shows
+    proc = subprocess.run([sys.executable, "-m", "einfty.cli", *argv], capture_output=True,
+                          env=env, timeout=120)
+    assert got == proc.returncode == code
+    assert proc.stdout == stdout.getvalue().encode()
+    assert proc.stderr == stderr.getvalue().encode()
+    if out:
+        assert (tmp_path / "report.json").read_bytes() == report != b""
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "einfty.cli", "homology", "circle"],
                           capture_output=True, text=True)
@@ -223,11 +260,8 @@ def _modules_loaded(*argv):
             "    except SystemExit:\n"
             "        pass\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
-    src = str(Path(einfty.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
 
@@ -243,6 +277,12 @@ def test_coalg_commands_load_no_chain_level_module(argv):
 def test_help_loads_only_cli_and_errors():
     loaded = _modules_loaded("--help")
     assert {m for m in loaded if m.startswith("einfty.")} == {"einfty.cli", "einfty.errors"}
+
+
+@pytest.mark.parametrize("argv", [("coalgebra", "torus"), ("cobar", "torus"),
+                                  ("homology", "torus")])
+def test_sset_commands_that_read_no_window_load_no_invariants(argv):
+    assert "einfty.invariants" not in _modules_loaded(*argv)
 
 
 @pytest.mark.parametrize("argv", [("coalgebra", "torus"), ("invariant", "torus"),

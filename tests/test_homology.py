@@ -4,14 +4,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from models import identity_sdr, total_rank
+import sdr_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from models import fan_surface, grid_torus, identity_sdr, relabel, total_rank
 
+from einfty import homology as homology_module
+from einfty import intlinalg
 from einfty.chains import ChainComplex
 from einfty.errors import TorsionPresent
 from einfty.homology import build_sdr, homology, sdr_variant
 from einfty.intlinalg import IntMatrix
 from einfty.simplicial import (circle, normalized_chains, point,
-                               projective_plane, sphere, torus,
+                               projective_plane, sphere, standard_simplex, torus,
                                wedge_of_circles)
 
 FIXTURE_COMPLEXES = {
@@ -167,3 +172,118 @@ def test_gauge_variant_is_sdr_and_differs():
     v = sdr_variant(sdr, theta)
     assert v.verify() == []
     assert v.g != sdr.g or v.h != sdr.h
+
+
+# -- the retraction against the splitting-inverse oracle -----------------------
+
+simplicial_models = st.one_of(
+    st.builds(grid_torus, st.integers(2, 4)),
+    st.builds(fan_surface, st.integers(1, 3)),
+    st.builds(wedge_of_circles, st.integers(1, 4)),
+    st.builds(standard_simplex, st.integers(0, 4)),
+).flatmap(lambda x: st.builds(relabel, st.just(x), st.integers(0, 2 ** 16)))
+
+
+def _unimodular(draw, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A random unimodular n x n matrix and its inverse, as rows: a product
+    of row swaps and elementary row additions."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.integers(-2, 2)), max_size=3 * n)) if n > 1 else []
+    for i, j, q in ops:
+        if i == j:
+            continue
+        if q == 0:
+            g[i], g[j] = g[j], g[i]
+            for row in ginv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            g[i] = [a + q * b for a, b in zip(g[i], g[j])]
+            for row in ginv:
+                row[j] -= q * row[i]
+    return g, ginv
+
+
+@st.composite
+def based_complexes(draw, factors=(1, 2, 3, 6)):
+    """A complex of elementary pieces Z --k--> Z and free Z, k drawn from
+    ``factors``, seen through a random unimodular base change in every degree."""
+    top = draw(st.integers(0, 3))
+    pieces = [[]] + [draw(st.lists(st.sampled_from(factors), max_size=3)) for _ in range(top)]
+    pieces.append([])
+    free = [draw(st.integers(0, 2)) for _ in range(top + 1)]
+    ranks = [len(pieces[d + 1]) + len(pieces[d]) + free[d] for d in range(top + 1)]
+    # degree d lists the targets of pieces[d + 1], then the sources of pieces[d]
+    change = [_unimodular(draw, n) for n in ranks]
+    boundary = {}
+    for d in range(1, top + 1):
+        normal = IntMatrix(ranks[d - 1], ranks[d], {
+            (p, len(pieces[d + 1]) + p): k for p, k in enumerate(pieces[d])})
+        g_below = IntMatrix.from_rows(change[d - 1][0], ncols=ranks[d - 1])
+        ginv = IntMatrix.from_rows(change[d][1], ncols=ranks[d])
+        boundary[d] = g_below @ normal @ ginv
+    basis = {d: tuple(f"e{d}_{i}" for i in range(n)) for d, n in enumerate(ranks)}
+    return ChainComplex(basis, boundary)
+
+
+def _assert_matches_oracle(c: ChainComplex) -> None:
+    got, want = homology(c), sdr_oracle.homology(c)
+    assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion)
+    assert got.representatives == want.representatives
+    try:
+        want = sdr_oracle.build_sdr(c)
+    except TorsionPresent as exc:
+        with pytest.raises(TorsionPresent) as raised:
+            build_sdr(c)
+        assert (raised.value.degree, raised.value.coefficient) == (exc.degree, exc.coefficient)
+        return
+    got = build_sdr(c)
+    for name in ("f", "g", "h"):
+        assert getattr(got, name).cols == getattr(want, name).cols, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(simplicial_models)
+def test_sdr_matches_oracle_on_simplicial_sets(x):
+    _assert_matches_oracle(normalized_chains(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(based_complexes())
+def test_sdr_matches_oracle_on_based_complexes(c):
+    _assert_matches_oracle(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(based_complexes(factors=(1,)))
+def test_sdr_matches_oracle_on_torsion_free_based_complexes(c):
+    _assert_matches_oracle(c)
+
+
+# -- factor once: counted Smith factorizations ----------------------------------
+
+@pytest.mark.parametrize("c", [
+    normalized_chains(relabel(grid_torus(3), 5)),
+    FIXTURE_COMPLEXES["torus"],
+    SYNTHETIC["acyclic"],
+], ids=["grid3", "torus", "acyclic"])
+def test_build_sdr_factors_each_boundary_once_and_one_x_per_degree(monkeypatch, c):
+    calls = []
+    real = intlinalg.smith
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith", counting)
+    monkeypatch.setattr(homology_module, "smith", counting)
+    build_sdr(c)
+    degs = c.degrees()
+    boundaries = [c.boundary_matrix(d) for d in range(degs[0], degs[-1] + 2)]
+    assert calls[:len(boundaries)] == boundaries
+    # then one X per degree: the boundaries into d in kernel coordinates,
+    # (rank d minus the rank of the boundary out of d) x (rank of the one in)
+    rank = {d: real(m, ()).rank for d, m in zip(range(degs[0], degs[-1] + 2), boundaries)}
+    assert [m.shape for m in calls[len(boundaries):]] == [
+        (c.rank(d) - rank[d], rank[d + 1]) for d in degs]

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from massey_oracle import delta_map as oracle_delta_map
 from massey_oracle import massey_group as oracle_massey_group
 from massey_oracle import normalizing_correction as oracle_correction
-from models import grid_torus, identity_sdr, relabel
-from test_cobar import _genus2_surface
+from models import fan_surface, grid_torus, identity_sdr, relabel
 
 from einfty import transfer as transfer_module
 from einfty.chains import ChainComplex, GradedOperator, pruned
@@ -84,7 +83,7 @@ def test_correction_matches_oracle_on_tori(n, seed, monkeypatch):
 
 
 def test_correction_is_none_on_genus2_surface(monkeypatch):
-    assert _corrections(_genus2_surface(), monkeypatch) == (None, None)
+    assert _corrections(fan_surface(2), monkeypatch) == (None, None)
 
 
 @settings(max_examples=40, deadline=None)
