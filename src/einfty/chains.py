@@ -38,8 +38,7 @@ TensorKey = tuple[tuple[int, int], ...]
 class ChainComplex:
     """Finitely generated free chain complex with chosen ordered bases."""
 
-    def __init__(self, basis: dict[int, Sequence], boundary: dict[int, IntMatrix],
-                 check: bool = True):
+    def __init__(self, basis: dict[int, Sequence], boundary: dict[int, IntMatrix]):
         self.basis = {d: tuple(labels) for d, labels in basis.items() if labels}
         self.boundary = {}
         for d, mat in boundary.items():
@@ -54,8 +53,7 @@ class ChainComplex:
         # _powers[n][t] = rank of (C^{(x) n})_t; the rank polynomial's powers
         self._powers: list[dict[int, int]] = [{0: 1}]
         self._step_cache: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-        if check:
-            self.validate()
+        self.validate()
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)

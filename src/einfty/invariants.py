@@ -21,6 +21,13 @@ and the L3 coordinates of all brackets, then of all delta images, each come
 from one multi-column solve against the one factorization of L3.
 Quotients, memberships and equality of classes are all decided by Smith
 reduction -- nothing is computed modulo a prime.
+
+Only this module knows the flat layout of the window: e_i (x) e_j is row
+i*m + j, and e_i (x) e_j (x) e_k row (i*m + j)*m + k.  The window code reads
+sparse entries only, and every bracket [e_i, w] comes from ``_bracket``.
+``normalizing_shift`` is the transfer's normalizing correction on the window:
+one solve for the shifts comul(s_u) (x) e_a and e_a (x) comul(s_u) that move
+the triple window into L3, decoded into words of a binary operator on H.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from itertools import combinations
 
 from .errors import GroupMismatch, NotNormalizable, RelationViolation, ShapeMismatch
 from .intlinalg import (IntMatrix, SmithForm, column_span_saturation, column_vector,
-                        smith)
+                        smith, solve)
 
 
 class FpAbelianGroup:
@@ -51,16 +58,10 @@ class FpAbelianGroup:
         return self.factored.cokernel()
 
     def same_presentation(self, other: "FpAbelianGroup") -> bool:
-        return (self.ambient_rank == other.ambient_rank
-                and self.relations.data == other.relations.data
-                and self.relations.ncols == other.relations.ncols)
+        return self.relations == other.relations
 
     def is_zero_class(self, vec: list[int]) -> bool:
         return self.factored.solve(column_vector(vec)) is not None
-
-    def describe(self) -> dict:
-        free, torsion = self.invariants()
-        return {"free_rank": free, "torsion": torsion}
 
 
 class InvariantClass:
@@ -84,24 +85,36 @@ def class_equals(x: InvariantClass, y: InvariantClass) -> bool:
     return x.group.is_zero_class(diff)
 
 
-# -- bracket lattices ----------------------------------------------------------
+# -- the flat layout and brackets ----------------------------------------------
 
-def _bracket2(m: int, i: int, j: int) -> list[int]:
-    v = [0] * (m * m)
-    v[i * m + j] += 1
-    v[j * m + i] -= 1
-    return v
+def _flat(m: int, word) -> int:
+    """Row of the H1 word e_i (x) e_j (x) ... in its layer: i*m + j,
+    (i*m + j)*m + k; ``word`` holds (degree, index) pairs."""
+    t = 0
+    for _, i in word:
+        t = t * m + i
+    return t
 
 
-def _bracket_with_left(m: int, i: int, w: list[int]) -> list[int]:
-    """[e_i, w] = e_i (x) w - w (x) e_i for w in the square tensor layer."""
-    out = [0] * (m ** 3)
-    for jk, c in enumerate(w):
-        if not c:
-            continue
-        out[i * m * m + jk] += c
-        out[jk * m + i] -= c
-    return out
+def _swapped(m: int, ij: int) -> int:
+    """Row of e_j (x) e_i, given the row of e_i (x) e_j."""
+    i, j = divmod(ij, m)
+    return j * m + i
+
+
+def _bracket(m: int, size: int, i: int, w) -> dict[int, int]:
+    """[e_i, w] = e_i (x) w - w (x) e_i, for w given as (row, coefficient)
+    pairs in the layer of size m^n; the result lies in the next layer."""
+    out: dict[int, int] = {}
+    for jk, c in w:
+        for t, v in ((i * size + jk, c), (jk * m + i, -c)):
+            out[t] = out.get(t, 0) + v
+    return {t: v for t, v in out.items() if v}
+
+
+def _columns(nrows: int, cols: list[dict[int, int]]) -> IntMatrix:
+    return IntMatrix._adopt(nrows, len(cols), {(t, j): v for j, col in enumerate(cols)
+                                               for t, v in col.items()})
 
 
 class LieLattice:
@@ -135,14 +148,10 @@ def lie_lattice(m: int) -> LieLattice:
     """
     if m < 0:
         raise ValueError("rank must be nonnegative")
-    deg2 = IntMatrix.from_columns(
-        [_bracket2(m, i, j) for i, j in combinations(range(m), 2)], nrows=m * m)
-    spans = []
-    for i in range(m):
-        for j, k in combinations(range(m), 2):
-            spans.append(_bracket_with_left(m, i, _bracket2(m, j, k)))
-    span = IntMatrix.from_columns(spans, nrows=m ** 3)
-    deg3 = column_span_saturation(span)
+    pairs = [_bracket(m, m, j, [(k, 1)]) for j, k in combinations(range(m), 2)]
+    deg2 = _columns(m * m, pairs)
+    deg3 = column_span_saturation(_columns(
+        m ** 3, [_bracket(m, m * m, i, b.items()) for i in range(m) for b in pairs]))
     expected = m * (m * m - 1) // 3
     if deg3.ncols != expected:
         raise AssertionError(
@@ -170,100 +179,70 @@ class InvariantWindow:
         self.triple = triple    # m^3 x r
 
     def validate(self) -> list[str]:
-        m = self.h1_rank
+        """Each nonzero entry against its swapped entry; the first failing
+        column of each block is named."""
         bad = []
-        for col, vec in enumerate(self.comul.columns()):
-            if any(vec[i * m + j] != -vec[j * m + i] for i in range(m) for j in range(m)):
-                bad.append(f"comul column {col} is not antisymmetric")
-                break
-        for col, vec in enumerate(self.sq.columns()):
-            if any(vec[i * m + j] != vec[j * m + i] for i in range(m) for j in range(m)):
-                bad.append(f"sq column {col} is not symmetric")
-                break
+        for name, sign, kind in (("comul", -1, "antisymmetric"), ("sq", 1, "symmetric")):
+            mat = getattr(self, name)
+            cols = [col for (ij, col), v in mat.data.items()
+                    if mat[_swapped(self.h1_rank, ij), col] != sign * v]
+            if cols:
+                bad.append(f"{name} column {min(cols)} is not {kind}")
         return bad
 
 
 def window_from_package(pkg) -> InvariantWindow:
-    """Extract the H1/H2 window from a transfer package."""
+    """Extract the H1/H2 window from a transfer package: the terms of comul,
+    sq and triple whose tensor factors all lie in H1."""
     h = pkg.homology
-    m, r = h.rank(1), h.rank(2)
-    comul = IntMatrix(m * m, r)
-    for col in range(r):
-        for coeff, word in pkg.hat_ops["m2_0"].image_of(2, col):
-            if all(e == 1 for e, _ in word):
-                (_, i), (_, j) = word
-                comul[i * m + j, col] = coeff
-    sq = IntMatrix(m * m, m)
-    for col in range(m):
-        for coeff, word in pkg.hat_ops["m2_1"].image_of(1, col):
-            if all(e == 1 for e, _ in word):
-                (_, i), (_, j) = word
-                sq[i * m + j, col] = coeff
-    triple = IntMatrix(m ** 3, r)
-    for col in range(r):
-        for coeff, word in pkg.hat_ops["m3_1"].image_of(2, col):
-            if all(e == 1 for e, _ in word):
-                (_, i), (_, j), (_, k) = word
-                triple[(i * m + j) * m + k, col] = coeff
-    return InvariantWindow(m, r, comul, sq, triple)
-
-
-def _as_window(p) -> InvariantWindow:
-    if isinstance(p, InvariantWindow):
-        return p
-    return window_from_package(p)
+    m = h.rank(1)
+    blocks = []
+    for name, degree in (("m2_0", 2), ("m2_1", 1), ("m3_1", 2)):
+        op = pkg.hat_ops[name]
+        data = {(_flat(m, word), col): coeff
+                for col, image in op.cols.get(degree, {}).items()
+                for word, coeff in image.items() if all(e == 1 for e, _ in word)}
+        blocks.append(IntMatrix(m ** op.arity, h.rank(degree), data))
+    return InvariantWindow(m, h.rank(2), *blocks)
 
 
 # -- dual Steenrod square class --------------------------------------------------
 
-def _sym_basis(m: int) -> list[tuple[int, int]]:
-    return [(i, i) for i in range(m)] + list(combinations(range(m), 2))
-
-
-def _sym_coords(m: int, vec: list[int]) -> list[int]:
-    coords = []
-    for i, j in _sym_basis(m):
-        coords.append(vec[i * m + j])
-    return coords
+def _sym_slots(m: int) -> dict[tuple[int, int], int]:
+    """Coordinates of symmetric tensors: the pairs (i, i), then i < j."""
+    basis = [(i, i) for i in range(m)] + list(combinations(range(m), 2))
+    return {pair: t for t, pair in enumerate(basis)}
 
 
 def sq_group(m: int) -> FpAbelianGroup:
-    """Hom(H1, ker(1 + sigma)) modulo {f - sigma f}, presented explicitly."""
-    basis = _sym_basis(m)
-    nsym = len(basis)
+    """Hom(H1, ker(1 + sigma)) modulo {f - sigma f}, presented explicitly:
+    relation a*nsym + n is e_ij + e_ji in slot a, for the n-th pair i <= j."""
+    slots = _sym_slots(m)
+    nsym = len(slots)
     ambient = m * nsym
-    rel_cols = []
-    for a in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                vec = [0] * (m * m)
-                vec[i * m + j] += 1
-                vec[j * m + i] += 1
-                col = [0] * ambient
-                sym = _sym_coords(m, vec)
-                for t, v in enumerate(sym):
-                    col[a * nsym + t] = v
-                rel_cols.append(col)
-    return FpAbelianGroup(ambient, IntMatrix.from_columns(rel_cols, nrows=ambient))
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    return FpAbelianGroup(ambient, IntMatrix._adopt(ambient, ambient, {
+        (a * nsym + slots[i, j], a * nsym + n): 2 if i == j else 1
+        for a in range(m) for n, (i, j) in enumerate(pairs)}))
 
 
-def sq_dual_invariant(p) -> InvariantClass:
+def sq_dual_invariant(w: InvariantWindow) -> InvariantClass:
     """Class of the degree-1 binary component on H1.
 
     The verified symmetry of the transferred operator forces a symmetric
     window; a non-symmetric one means the input package does not conform.
     """
-    w = _as_window(p)
     m = w.h1_rank
     bad = [msg for msg in w.validate() if msg.startswith("sq")]
     if bad:
         raise RelationViolation("hat m2_1 = -sigma hat m2_1", bad[0])
-    basis = _sym_basis(m)
-    nsym = len(basis)
+    slots = _sym_slots(m)
+    nsym = len(slots)
     rep = [0] * (m * nsym)
-    for a, col in enumerate(w.sq.columns()):
-        for t, v in enumerate(_sym_coords(m, col)):
-            rep[a * nsym + t] = v
+    for (ij, a), v in w.sq.data.items():
+        i, j = divmod(ij, m)
+        if i <= j:
+            rep[a * nsym + slots[i, j]] = v
     return InvariantClass(sq_group(m), tuple(rep))
 
 
@@ -302,15 +281,10 @@ def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
     """
     lie = lie_lattice(m)
     mm, rank3 = m * m, lie.rank3
-    # [e_i, comul(s_u)] = e_i (x) comul(s_u) - comul(s_u) (x) e_i as column u*m + i
-    brackets: dict[tuple[int, int], int] = {}
-    for u, col in comul.column_entries().items():
-        for i in range(m):
-            for jk, c in col:
-                left, right = (i * mm + jk, u * m + i), (jk * m + i, u * m + i)
-                brackets[left] = brackets.get(left, 0) + c
-                brackets[right] = brackets.get(right, 0) - c
-    coords = lie.degree3_smith.solve(IntMatrix(m ** 3, r * m, brackets))
+    # [e_i, comul(s_u)] as column u*m + i
+    coords = lie.degree3_smith.solve(IntMatrix._adopt(m ** 3, r * m, {
+        (t, u * m + i): v for u, col in comul.column_entries().items()
+        for i in range(m) for t, v in _bracket(m, mm, i, col).items()}))
     if coords is None:
         raise AssertionError("bracket with comul image left the lattice")
     # the denominator brackets against the image of the whole second
@@ -341,14 +315,21 @@ def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
         ambient, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col}))
 
 
-def massey_invariant(p) -> InvariantClass:
+def _outside_lattice(lie: LieLattice, triple: dict[int, list]) -> list[int]:
+    """The H2 generators whose triple column, given by (row, entry) pairs,
+    is not in the degree-3 bracket lattice, in increasing order."""
+    cube = lie.h1_rank ** 3
+    return [s for s, col in sorted(triple.items()) if lie.degree3_smith.solve(
+        IntMatrix._adopt(cube, 1, {(t, 0): v for t, v in col})) is None]
+
+
+def massey_invariant(w: InvariantWindow) -> InvariantClass:
     """Class of the arity-3 window in the displayed quotient group.
 
     Requires each triple-coproduct image to lie in the bracket lattice
     (membership decided by Smith reduction); raises NotNormalizable naming
     the offending generator otherwise.
     """
-    w = _as_window(p)
     m, r = w.h1_rank, w.h2_rank
     bad = [msg for msg in w.validate() if msg.startswith("comul")]
     if bad:
@@ -356,8 +337,7 @@ def massey_invariant(p) -> InvariantClass:
     lie = lie_lattice(m)
     coords = lie.degree3_smith.solve(w.triple)
     if coords is None:
-        s = next(s for s in range(r)
-                 if lie.degree3_smith.solve(column_vector(w.triple.column(s))) is None)
+        s = _outside_lattice(lie, w.triple.column_entries())[0]
         raise NotNormalizable(f"H2 generator #{s}")
     rep = [0] * (r * lie.rank3)
     for (t, s), v in coords.data.items():
@@ -396,14 +376,62 @@ def perturb_massey(window: InvariantWindow, nu: IntMatrix,
     if nu.shape != (m * m, m) or gamma.shape != (m * r, r):
         raise ShapeMismatch("perturbation shapes inconsistent")
     shift = delta_map(window.comul, nu, m).scale(-1)
-    for s in range(r):
-        for au, v in enumerate(gamma.column(s)):
-            if not v:
-                continue
-            a, u = divmod(au, r)
-            vec = _bracket_with_left(m, a, window.comul.column(u))
-            for t, val in enumerate(vec):
-                if val:
-                    shift[t, s] = shift[t, s] + v * val
+    comul = window.comul.column_entries()
+    for (au, s), v in gamma.data.items():
+        a, u = divmod(au, r)
+        for t, val in _bracket(m, m * m, a, comul.get(u, ())).items():
+            shift[t, s] = shift[t, s] + v * val
     return InvariantWindow(m, r, window.comul, window.sq,
                            window.triple + shift)
+
+
+# -- the normalizing correction of the transfer --------------------------------
+
+def normalizing_shift(w: InvariantWindow) -> dict[int, dict] | None:
+    """The degree-2 block of a mixed-component correction pushing the triple
+    window into brackets.
+
+    The freedom used is the one the relation list leaves open: for any nu of
+    arity 2 and degree 1 on homology, replacing the binary morphism component
+    by (old + nu o f) and the degree-1 coproduct by (old + nu - sigma nu)
+    conforms, and shifts the H2 -> H1^3 window by combinations of
+    comul(s') (x) x and x (x) comul(s').  Solving integrally for such a
+    combination lands the window inside the degree-3 bracket lattice whenever
+    possible.  The block maps each H2 generator to its image words; None
+    means either nothing to do or no integral solution (the class is then
+    honestly not defined for this package).
+    """
+    m, r = w.h1_rank, w.h2_rank
+    if m == 0 or r == 0:
+        return None
+    lie = lie_lattice(m)
+    cube = m ** 3
+    triple = w.triple.column_entries()
+    outside = _outside_lattice(lie, triple)
+    if not outside:
+        return None
+    # shift generators, column 2(u*m + a) + side: comul(s_u) (x) e_a (side
+    # 0) and e_a (x) comul(s_u) (side 1), after the lattice basis
+    shifts = {}
+    for u, col in w.comul.column_entries().items():
+        for a in range(m):
+            for jk, c in col:
+                shifts[jk * m + a, 2 * (u * m + a)] = c
+                shifts[a * m * m + jk, 2 * (u * m + a) + 1] = c
+    cols = lie.degree3.hstack(IntMatrix._adopt(cube, 2 * r * m, shifts))
+    sol = solve(cols, IntMatrix._adopt(cube, len(outside), {
+        (t, n): v for n, s in enumerate(outside) for t, v in triple[s]}))
+    if sol is None:
+        return None
+    block: dict[int, dict] = {}
+    for (row, n), y in sol.data.items():
+        if row < lie.rank3:
+            continue
+        ua, side = divmod(row - lie.rank3, 2)
+        u, a = divmod(ua, m)
+        # Delta mu = +comul(s') (x) x on the s'-(x)-x part of nu and
+        # -x (x) comul(s') on the x-(x)-s' part; subtract the found
+        # combination.
+        word, val = (((2, u), (1, a)), -y) if side == 0 else (((1, a), (2, u)), y)
+        block.setdefault(outside[n], {})[word] = val
+    return block

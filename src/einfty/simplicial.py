@@ -68,7 +68,7 @@ class SimplicialSet:
     """Finite simplicial set presented by nondegenerate simplices."""
 
     def __init__(self, simplices: dict[int, list[str]],
-                 faces: dict[str, tuple[FaceRef, ...]], check: bool = True):
+                 faces: dict[str, tuple[FaceRef, ...]]):
         self.simplices = {d: list(names) for d, names in sorted(simplices.items()) if names}
         self.faces = dict(faces)
         self.dim_of: dict[str, int] = {}
@@ -78,10 +78,9 @@ class SimplicialSet:
                     raise SSetParseError(f"duplicate simplex name {name!r}")
                 self.dim_of[name] = d
         self._vertex_faces: dict[tuple[str, tuple[int, ...]], Cell] = {}
-        if check:
-            report = self.validate()
-            if report:
-                raise SSetValidationError(report)
+        report = self.validate()
+        if report:
+            raise SSetValidationError(report)
 
     @property
     def dimension(self) -> int:

@@ -26,7 +26,6 @@ from .chains import (ChainComplex, GradedOperator, bracket_d, compose_slot,
 from .coalgebra import CoalgebraStructure, bracket_mismatch, evaluate, violation
 from .errors import ShapeMismatch
 from .homology import SDR
-from .intlinalg import IntMatrix, solve
 from .operads import generator, generator_differential
 
 
@@ -95,55 +94,12 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
 
 
 def _normalizing_correction(pkg: TransferPackage) -> GradedOperator | None:
-    """A mixed-component correction pushing the triple window into brackets.
-
-    The freedom used is the one the relation list leaves open: for any nu of
-    arity 2 and degree 1 on homology, replacing the binary morphism component
-    by (old + nu o f) and the degree-1 coproduct by (old + nu - sigma nu)
-    conforms, and shifts the H2 -> H1^3 window by combinations of
-    comul(s') (x) x and x (x) comul(s').  Solving integrally for such a
-    combination lands the window inside the degree-3 bracket lattice whenever
-    possible; None means either nothing to do or no integral solution (the
-    class is then honestly not defined for this package).
-    """
-    from .invariants import lie_lattice, window_from_package  # no cycle at module load
-
-    w = window_from_package(pkg)
-    m, r = w.h1_rank, w.h2_rank
-    if m == 0 or r == 0:
-        return None
-    lie = lie_lattice(m)
-    cube = m ** 3
-    triple = w.triple.column_entries()
-    outside = [s for s, col in sorted(triple.items()) if lie.degree3_smith.solve(
-        IntMatrix._adopt(cube, 1, {(t, 0): v for t, v in col})) is None]
-    if not outside:
-        return None
-    # shift generators, column 2(u*m + a) + side: comul(s_u) (x) e_a (side
-    # 0) and e_a (x) comul(s_u) (side 1), after the lattice basis
-    shifts = {}
-    for u, col in w.comul.column_entries().items():
-        for a in range(m):
-            for jk, c in col:
-                shifts[jk * m + a, 2 * (u * m + a)] = c
-                shifts[a * m * m + jk, 2 * (u * m + a) + 1] = c
-    cols = lie.degree3.hstack(IntMatrix._adopt(cube, 2 * r * m, shifts))
-    sol = solve(cols, IntMatrix._adopt(cube, len(outside), {
-        (t, n): v for n, s in enumerate(outside) for t, v in triple[s]}))
-    if sol is None:
-        return None
-    block: dict[int, dict] = {}
-    for (row, n), y in sol.data.items():
-        if row < lie.rank3:
-            continue
-        ua, side = divmod(row - lie.rank3, 2)
-        u, a = divmod(ua, m)
-        # Delta mu = +comul(s') (x) x on the s'-(x)-x part of nu and
-        # -x (x) comul(s') on the x-(x)-s' part; subtract the found
-        # combination.
-        word, val = (((2, u), (1, a)), -y) if side == 0 else (((1, a), (2, u)), y)
-        block.setdefault(outside[n], {})[word] = val
-    return GradedOperator._adopt(pkg.homology, pkg.homology, 2, 1, {2: block})
+    """The correction ``invariants.normalizing_shift`` finds for the window
+    of ``pkg``, as a degree-1 binary operator on homology, or None."""
+    from .invariants import normalizing_shift, window_from_package  # no cycle at module load
+    block = normalizing_shift(window_from_package(pkg))
+    return None if block is None else GradedOperator._adopt(
+        pkg.homology, pkg.homology, 2, 1, {2: block})
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:
@@ -186,65 +142,3 @@ def verify_relations(pkg: TransferPackage) -> list[dict]:
         if got != want:
             bad.append(bracket_mismatch(f"[d, F({name})] = d{name} realized", got, want))
     return bad
-
-
-class StructureComparison:
-    def __init__(self, differences: dict[str, GradedOperator],
-                 witness: GradedOperator | None):
-        self.differences = differences
-        self.witness = witness
-
-    @property
-    def solvable(self) -> bool:
-        return self.witness is not None
-
-
-def _swap_matrix(h_cx: ChainComplex, total: int) -> IntMatrix:
-    rank = h_cx.tensor_rank(2, total)
-    out = IntMatrix(rank, rank)
-    for col in range(rank):
-        (e1, i1), (e2, i2) = h_cx.row_word(2, total, col)
-        sign = -1 if (e1 % 2) and (e2 % 2) else 1
-        out[h_cx.word_row(2, total, ((e2, i2), (e1, i1))), col] = sign
-    return out
-
-
-def compare_structures(p: TransferPackage, q: TransferPackage) -> StructureComparison:
-    """Differences of two packages over the same homology basis.
-
-    Requires identical comultiplications; solves for an integral binary
-    morphism component witnessing the degree-1 difference relation
-    q.m2_1 - p.m2_1 = (1 - sigma) w, reporting None when no integer
-    solution exists.
-    """
-    hp, hq = p.homology, q.homology
-    if {d: hp.labels(d) for d in hp.degrees()} != {d: hq.labels(d) for d in hq.degrees()}:
-        raise ShapeMismatch("retracts have different homology bases")
-    if p.hat_ops["m2_0"].cols != q.hat_ops["m2_0"].cols:
-        raise ShapeMismatch("comultiplications disagree; packages not comparable")
-    diffs = {}
-    for name in ("m2_1", "m2_2", "m3_1"):
-        a, b = p.hat_ops[name], q.hat_ops[name]
-        # q - p, with q's words read over p's homology basis
-        diffs[name] = GradedOperator._adopt(hp, hp, a.arity, a.degree, b.cols) - a
-    d1 = diffs["m2_1"]
-    witness_blocks: dict[int, IntMatrix] = {}
-    ok = True
-    for d in hp.degrees():
-        rows = hp.tensor_rank(2, d + 1)
-        cols = hp.rank(d)
-        target = d1.block(d)
-        if rows == 0 or cols == 0:
-            if not target.is_zero():
-                ok = False
-                break
-            continue
-        mat = solve(IntMatrix.identity(rows) - _swap_matrix(hp, d + 1), target)
-        if mat is None:
-            ok = False
-            break
-        if not mat.is_zero():
-            witness_blocks[d] = mat
-    witness = GradedOperator(hp, hp, 2, 1, witness_blocks) if ok else None
-    return StructureComparison(diffs, witness)
-

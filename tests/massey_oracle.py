@@ -7,15 +7,19 @@ accumulates dense cube columns, ``massey_group`` runs one lattice solve per
 basis map H1 -> [H1, H1] and assembles dense relation columns, and
 ``normalizing_correction`` decodes the comul and triple windows itself,
 widens its shift matrix one ``hstack`` at a time and factors it again for
-every H2 generator outside the bracket lattice.  ``tests/test_massey_oracle.py``
-requires the package's versions to give the same matrices and operators.
+every H2 generator outside the bracket lattice.  ``massey_invariant`` is the
+class built from the dense presentation and the dense window checks of
+``window_oracle.py``.  ``tests/test_massey_oracle.py`` and
+``tests/test_window_oracle.py`` require the package's versions to give the
+same matrices, operators and classes.
 """
 from __future__ import annotations
 
 from einfty.chains import GradedOperator, pruned
-from einfty.errors import ShapeMismatch
-from einfty.intlinalg import IntMatrix, solve
-from einfty.invariants import FpAbelianGroup, _bracket_with_left, lie_lattice
+from einfty.errors import NotNormalizable, RelationViolation, ShapeMismatch
+from einfty.intlinalg import IntMatrix, column_vector, solve
+from einfty.invariants import FpAbelianGroup, InvariantClass, lie_lattice
+from window_oracle import _bracket_with_left, validate
 
 
 def delta_map(comul: IntMatrix, nu: IntMatrix, m: int) -> IntMatrix:
@@ -85,6 +89,24 @@ def massey_group(m: int, r: int, comul: IntMatrix) -> FpAbelianGroup:
                 rel_cols.append(col)
     relations = IntMatrix.from_columns(rel_cols, nrows=ambient)
     return FpAbelianGroup(ambient, relations)
+
+
+def massey_invariant(w) -> InvariantClass:
+    """Class of the arity-3 window in the displayed quotient group."""
+    m, r = w.h1_rank, w.h2_rank
+    bad = [msg for msg in validate(w) if msg.startswith("comul")]
+    if bad:
+        raise RelationViolation("hat m2_0 = sigma hat m2_0", bad[0])
+    lie = lie_lattice(m)
+    coords = lie.degree3_smith.solve(w.triple)
+    if coords is None:
+        s = next(s for s in range(r)
+                 if lie.degree3_smith.solve(column_vector(w.triple.column(s))) is None)
+        raise NotNormalizable(f"H2 generator #{s}")
+    rep = [0] * (r * lie.rank3)
+    for (t, s), v in coords.data.items():
+        rep[s * lie.rank3 + t] = v
+    return InvariantClass(massey_group(m, r, w.comul), tuple(rep))
 
 
 def normalizing_correction(hat: dict[str, GradedOperator]) -> GradedOperator | None:

@@ -26,6 +26,7 @@ from einfty.invariants import (InvariantWindow, class_equals, lie_lattice,
 from dense_smith_oracle import RemainderStep, dense_smith
 from models import in_column_span, rank, vstack
 from sparse_smith_oracle import sparse_smith
+import window_oracle
 
 
 def minors_gcd_invariant_factors(rows):
@@ -194,7 +195,7 @@ def test_smith_repeats_the_row_walking_elimination_on_massey_relations():
     m = 4
     pairs = list(combinations(range(m), 2))
     comul = IntMatrix.from_columns(
-        [[2 * x for x in invariants._bracket2(m, i, j)] for i, j in pairs], nrows=m * m)
+        [[2 * x for x in window_oracle._bracket2(m, i, j)] for i, j in pairs], nrows=m * m)
     relations = invariants.massey_group(m, len(pairs), comul).relations
     assert relations.shape == (120, 168)
     assert smith(relations, ()).invariant_factors() == [2] * 120
@@ -346,8 +347,8 @@ def _window(m: int, seed: int) -> InvariantWindow:
     rng = random.Random(seed)
     pairs = list(combinations(range(m), 2))
     comul = IntMatrix.from_columns(
-        [invariants._bracket2(m, i, j) for i, j in pairs], nrows=m * m)
-    brackets = [invariants._bracket_with_left(m, i, invariants._bracket2(m, j, k))
+        [window_oracle._bracket2(m, i, j) for i, j in pairs], nrows=m * m)
+    brackets = [window_oracle._bracket_with_left(m, i, window_oracle._bracket2(m, j, k))
                 for i in range(m) for j, k in pairs]
     triple = []
     for _ in pairs:

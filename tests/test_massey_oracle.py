@@ -1,5 +1,7 @@
 """The sparse Massey presentation and normalizing correction against the
 dense reference code in ``massey_oracle.py``."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,14 +88,14 @@ def test_correction_is_none_on_genus2_surface(monkeypatch):
     assert _corrections(fan_surface(2), monkeypatch) == (None, None)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_correction_matches_oracle_on_drawn_windows(m, r, data):
     # homology-level operators drawn directly: an antisymmetric comul, and a
-    # triple made of shift generators on both sides, plus noise on some
-    # draws, so that both solvable and unsolvable windows occur
-    h = ChainComplex({0: ("p",), 1: [f"a{i}" for i in range(m)],
-                      2: [f"s{u}" for u in range(r)]}, {})
+    # triple made of shift generators on both sides and a random L3 part,
+    # plus noise on some draws, so that both solvable and unsolvable windows
+    # occur.  The L3 part makes the solve use right shift columns, whose
+    # sign the oracle then checks.
     coeff = st.integers(-2, 2)
     comul = {}
     for u in range(r):
@@ -112,12 +114,42 @@ def test_correction_matches_oracle_on_drawn_windows(m, r, data):
                 for (e1, e2), c in comul[u].items():
                     for word, v in (((e1, e2, (1, a)), x), (((1, a), e1, e2), y)):
                         col[word] = col.get(word, 0) + v * c
+        for i in range(m):
+            for j, k in combinations(range(m), 2):
+                c = data.draw(coeff)
+                # [e_i, [e_j, e_k]] = ijk - ikj - jki + kji
+                for word, v in (((i, j, k), c), ((i, k, j), -c), ((j, k, i), -c),
+                                ((k, j, i), c)):
+                    word = tuple((1, x) for x in word)
+                    col[word] = col.get(word, 0) + v
         if noisy:
             word = tuple((1, data.draw(st.integers(0, m - 1))) for _ in range(3)) if m else ()
             if word:
                 col[word] = col.get(word, 0) + data.draw(coeff)
+    pkg = _window_package(m, r, comul, triple)
+    assert transfer_module._normalizing_correction(pkg) == oracle_correction(pkg.hat_ops)
+
+
+def test_correction_keeps_the_right_shift_sign():
+    # comul = ([e1, e2], [e0, e1]) and triple(s1) = e2 (x) [e0, e1]: the
+    # solve uses a right shift column, so the correction has an
+    # e_a (x) s_u word, and a wrong sign on that branch differs from the oracle
+    def bracket(i, j):
+        return {((1, i), (1, j)): 1, ((1, j), (1, i)): -1}
+
+    pkg = _window_package(3, 2, {0: bracket(1, 2), 1: bracket(0, 1)},
+                          {0: {}, 1: {((1, 2), *w): v for w, v in bracket(0, 1).items()}})
+    got = transfer_module._normalizing_correction(pkg)
+    assert any(word[0][0] == 1 for col in got.cols[2].values() for word in col)
+    assert got == oracle_correction(pkg.hat_ops)
+
+
+def _window_package(m, r, comul, triple):
+    """A package on H = Z + Z^m + Z^r with zero differential, whose comul and
+    triple are given as {H2 generator: {H1 word: coefficient}}."""
+    h = ChainComplex({0: ("p",), 1: [f"a{i}" for i in range(m)],
+                      2: [f"s{u}" for u in range(r)]}, {})
     hat = {"m2_0": GradedOperator._adopt(h, h, 2, 0, pruned({2: comul})),
            "m2_1": GradedOperator._adopt(h, h, 2, 1, {}),
            "m3_1": GradedOperator._adopt(h, h, 3, 1, pruned({2: triple}))}
-    pkg = transfer_module.TransferPackage(None, identity_sdr(h), hat, {})
-    assert transfer_module._normalizing_correction(pkg) == oracle_correction(hat)
+    return transfer_module.TransferPackage(None, identity_sdr(h), hat, {})
