@@ -193,6 +193,22 @@ def bracket_mismatch(relation: str, got: GradedOperator, want: GradedOperator) -
     return {"relation": relation, "detail": "operators differ in shape"}
 
 
+def bracket_failures(ops: dict[str, GradedOperator], label: str, **realize) -> list[dict]:
+    """[d, op] against the realized differential of its generator, for each
+    named operator in name order; one ``bracket_mismatch`` per failure,
+    named by ``label.format(name)``.  ``realize`` holds the operator
+    assignments that ``evaluate`` reads."""
+    bad = []
+    for name in sorted(ops):
+        op, g = ops[name], generator(name)
+        want = evaluate(generator_differential(name), source=op.source, target=op.target,
+                        arity=g.arity, degree=g.degree - 1, **realize)
+        got = bracket_d(op)
+        if got != want:
+            bad.append(bracket_mismatch(label.format(name), got, want))
+    return bad
+
+
 def violation(entry: dict) -> RelationViolation:
     """The error for a failed-relation entry of ``verify``-style reports."""
     fields = {k: v for k, v in entry.items() if k not in ("relation", "detail")}
@@ -226,20 +242,10 @@ class CoalgebraStructure:
         element where [d, op] differs from its required value, with both
         image expansions (see ``bracket_mismatch``).
         """
-        bad = []
-        c = self.complex
-        for name in sorted(self.ops):
-            g = generator(name)
-            want = evaluate(generator_differential(name), source=c,
-                            target=self.ops[name].target,
-                            arity=g.arity, degree=g.degree - 1,
-                            chain_ops=self.ops)
-            got = bracket_d(self.ops[name])
-            if got != want:
-                bad.append(bracket_mismatch(f"[d, {name}]", got, want))
+        bad = bracket_failures(self.ops, "[d, {0}]", chain_ops=self.ops)
         if not self.reduced:
             delta0 = self.ops["m2_0"]
-            ident = identity_operator(c)
+            ident = identity_operator(self.complex)
             left = tensor_compose([self.ops["p"], ident], delta0)
             right = tensor_compose([ident, self.ops["p"]], delta0)
             if left != ident:

@@ -211,6 +211,33 @@ def test_cli_rejects_bad_flags(argv, flag, minimum):
     assert error["value"] == int(argv[-1])
 
 
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_max_cup_is_a_usage_error_where_no_cup_is_built(command):
+    code, out, err = _parse_exit(main, [command, "torus", "--max-cup", "3"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-cup 3" in err
+
+
+FLAGS = {
+    "validate": {"--out"},
+    "homology": {"--out"},
+    "coalgebra": {"--max-cup", "--out"},
+    "transfer": {"--max-cup", "--out"},
+    "cobar": {"--max-cup", "--out", "--max-len"},
+    "invariant": {"--max-cup", "--out"},
+    "compare": {"--max-cup", "--out"},
+    "selfcheck": {"--seed", "--max-cup", "--max-len", "--out"},
+}
+
+
+def test_every_command_has_its_flags():
+    for name, want in FLAGS.items():
+        (sub,) = [a for a in build_parser(name)._actions if a.choices]
+        got = {flag for action in sub.choices[name]._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+        assert got == want, name
+
+
 def _file_error(*argv):
     out, err = run_cli(*argv, expect=1)
     assert out == ""

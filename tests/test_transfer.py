@@ -1,17 +1,25 @@
-"""Homotopy transfer: relation verification, invariance data, comparison."""
+"""Homotopy transfer: relation verification, invariance data, comparison,
+and the table-driven transfer against the hand-written formulas of
+``transfer_oracle.py``."""
 import random
+from functools import lru_cache
 
 import pytest
-from models import in_column_span
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from models import fan_surface, grid_torus, in_column_span, relabel
 from structure_compare import compare_structures
+from transfer_oracle import transfer as oracle_transfer
 
-from einfty.chains import GradedOperator
+from einfty import transfer as transfer_module
+from einfty.chains import GradedOperator, plain_compose, pruned, transpose_swap
 from einfty.coalgebra import chain_structure
-from einfty.errors import ShapeMismatch
+from einfty.errors import ShapeMismatch, TorsionPresent
 from einfty.homology import build_sdr, sdr_variant
 from einfty.intlinalg import IntMatrix
-from einfty.simplicial import (circle, point, sphere, torus, wedge_of_circles)
-from einfty.transfer import TransferPackage, transfer, verify_relations
+from einfty.simplicial import (circle, point, projective_plane, sphere, standard_simplex,
+                               torus, wedge_of_circles)
+from einfty.transfer import TransferPackage, transfer, transfer_step, verify_relations
 
 FIXTURES = {
     "point": point(), "circle": circle(), "wedge2": wedge_of_circles(2),
@@ -82,6 +90,16 @@ def test_defective_package_is_reported():
     broken = TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops)
     bad_rel = verify_relations(broken)
     assert bad_rel and any("f3_2" in b["relation"] for b in bad_rel)
+
+
+@pytest.mark.parametrize("name", ["m2_0", "m2_1", "m3_1", "f2_1", "f3_2"])
+def test_missing_operator_is_reported(name):
+    pkg = _package("torus")
+    hat = {k: v for k, v in pkg.hat_ops.items() if k != name}
+    morph = {k: v for k, v in pkg.morphism_ops.items() if k != name}
+    label = f"hat {name} present" if name in pkg.hat_ops else f"F({name}) present"
+    assert verify_relations(TransferPackage(pkg.source, pkg.sdr, hat, morph)) == [
+        {"relation": label}]
 
 
 def _gauge(pkg, seed):
@@ -172,3 +190,118 @@ def test_failed_bracket_names_element_and_expansions():
     assert first["actual"] == [[1, "h0_0(x)h2_0"], [1, "h1_0(x)h1_0"], [-1, "h1_1(x)h1_0"]]
     assert first["detail"] == ("degree 2, U: expected +1 h1_0(x)h1_0 -1 h1_1(x)h1_0, "
                                "got +1 h0_0(x)h2_0 +1 h1_0(x)h1_0 -1 h1_1(x)h1_0")
+
+
+@st.composite
+def retracted_models(draw):
+    """(structure, retraction) of a drawn model, relabelled or not, with a
+    drawn gauge twist (theta entries in [-2, 2]) or none."""
+    family, sizes = draw(st.sampled_from([(grid_torus, (2, 4)), (fan_surface, (1, 3)),
+                                          (wedge_of_circles, (1, 3)),
+                                          (standard_simplex, (0, 4))]))
+    x = family(draw(st.integers(*sizes)))
+    seed = draw(st.none() | st.integers(0, 2 ** 16))
+    if seed is not None:
+        x = relabel(x, seed)
+    s = chain_structure(x, 3)
+    sdr = build_sdr(s.complex)
+    if draw(st.booleans()):
+        entries = st.integers(-2, 2)
+        theta = {d: IntMatrix.from_rows(
+                     [draw(st.lists(entries, min_size=sdr.retract.rank(d),
+                                    max_size=sdr.retract.rank(d)))
+                      for _ in range(s.complex.rank(d))], ncols=sdr.retract.rank(d))
+                 for d in sdr.retract.degrees()}
+        sdr = sdr_variant(sdr, theta)
+    return s, sdr
+
+
+@settings(max_examples=40, deadline=None)
+@given(retracted_models())
+def test_transfer_matches_oracle(model):
+    s, sdr = model
+    corrections = []
+    real = transfer_module._normalizing_correction
+
+    def spy(pkg):
+        corrections.append(real(pkg))
+        return corrections[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer_module, "_normalizing_correction", spy)
+        want = oracle_transfer(s, sdr)
+        got = transfer(s, sdr)
+    assert got.hat_ops == want.hat_ops
+    assert got.morphism_ops == want.morphism_ops
+    assert list(got.hat_ops) == list(want.hat_ops)
+    assert list(got.morphism_ops) == list(want.morphism_ops)
+    assert len(corrections) == 2 and corrections[0] == corrections[1]
+
+
+def _failure(run):
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 -- the type itself is compared
+        return type(exc), str(exc)
+    raise AssertionError("expected an error")
+
+
+@pytest.mark.parametrize("case", ["rp2", "foreign retraction"])
+def test_transfer_errors_match_oracle(case):
+    s = chain_structure(projective_plane() if case == "rp2" else torus(), 3)
+    other = s.complex if case == "rp2" else chain_structure(torus(), 3).complex
+    got = _failure(lambda: transfer(s, build_sdr(other)))
+    assert got == _failure(lambda: oracle_transfer(s, build_sdr(other)))
+    assert got[0] is (TorsionPresent if case == "rp2" else ShapeMismatch)
+
+
+CORRECTED = {"torus": torus, "grid3": lambda: relabel(grid_torus(3), 5),
+             "genus2": lambda: fan_surface(2)}
+
+
+@lru_cache(maxsize=None)
+def _transferred(name):
+    s = chain_structure(CORRECTED[name](), 3)
+    return transfer(s, build_sdr(s.complex))
+
+
+def _shifted(name, nu, compensate=True, reclose=True):
+    """The package of ``name`` with F(f2_1) += nu o f, hat m2_1 += nu - sigma
+    nu and the f3_2 step run again, each of the last two optional."""
+    pkg = _transferred(name)
+    pkg = TransferPackage(pkg.source, pkg.sdr, dict(pkg.hat_ops), dict(pkg.morphism_ops))
+    pkg.morphism_ops["f2_1"] = pkg.morphism_ops["f2_1"] + plain_compose(nu, pkg.sdr.f)
+    if compensate:
+        pkg.hat_ops["m2_1"] = pkg.hat_ops["m2_1"] + nu - transpose_swap(nu)
+    if reclose:
+        pkg.morphism_ops["f3_2"] = transfer_step(pkg, "f3_2")
+    return pkg
+
+
+def _nu(h, coefficient):
+    """An arity-2, degree-1 operator on h with every word of each source
+    degree, (h0, h2) and (h2, h0) alike, weighted by ``coefficient()``."""
+    cols = {}
+    for d in h.degrees():
+        words = [((e, i), (d + 1 - e, j)) for e in h.degrees()
+                 for i in range(h.rank(e)) for j in range(h.rank(d + 1 - e))]
+        cols[d] = {i: {w: coefficient() for w in words} for i in range(h.rank(d))}
+    return GradedOperator._adopt(h, h, 2, 1, pruned(cols))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CORRECTED)), st.data())
+def test_chain_level_correction_keeps_every_relation(name, data):
+    # the normalizing correction's shape with any nu, a right shift column
+    # (words s_u (x) e_a next to e_a (x) s_u) included
+    nu = _nu(_transferred(name).homology, lambda: data.draw(st.integers(-2, 2)))
+    assert verify_relations(_shifted(name, nu)) == []
+
+
+def test_correction_needs_the_compensation_and_the_reclose():
+    nu = _nu(_transferred("torus").homology, lambda: 1)
+    assert verify_relations(_shifted("torus", nu)) == []
+    bad = verify_relations(_shifted("torus", nu, reclose=False))
+    assert [b["relation"] for b in bad] == ["[d, F(f3_2)] = df3_2 realized"]
+    bad = verify_relations(_shifted("torus", nu, compensate=False))
+    assert "[d, F(f2_2)] = df2_2 realized" in [b["relation"] for b in bad]
