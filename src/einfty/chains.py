@@ -22,9 +22,8 @@ Rows appear only at the linear-algebra boundary.  The words of one total
 degree, ordered lexicographically, are the rows of the induced tensor
 basis; ``ChainComplex.word_row`` and ``row_word`` convert between the two
 by a closed rank/unrank formula from the rank counts of L.  Operators are
-built from such matrices (Smith output), ``GradedOperator.blocks`` turns
-them back into matrices for the solvers, and ``tensor_complex``, the one
-place a tensor basis is listed, uses the same rows.
+built from such matrices (Smith output), and ``GradedOperator.blocks`` turns
+them back into matrices for the solvers.
 """
 from __future__ import annotations
 
@@ -168,33 +167,6 @@ class ChainComplex:
 def unit_complex() -> ChainComplex:
     """The ground ring Z concentrated in degree 0."""
     return ChainComplex({0: ("1",)}, {})
-
-
-def tensor_complex(c: ChainComplex, n: int) -> ChainComplex:
-    """Materialized n-th tensor power with tuple labels (n >= 0)."""
-    if n < 0:
-        raise ValueError("tensor arity must be nonnegative")
-    if n == 1:
-        return c
-    degs = c.degrees()
-    if n == 0 or not degs:
-        return unit_complex() if n == 0 else ChainComplex({}, {})
-    basis = {}
-    boundary = {}
-    for total in range(n * degs[0], n * degs[-1] + 1):
-        words = [c.row_word(n, total, r) for r in range(c.tensor_rank(n, total))]
-        if not words:
-            continue
-        basis[total] = tuple(tuple(c.labels(d)[i] for (d, i) in word) for word in words)
-        data: dict[tuple[int, int], int] = {}
-        for col, word in enumerate(words):
-            for v, face in c.word_boundary(word):
-                key = (c.word_row(n, total - 1, face), col)
-                data[key] = data.get(key, 0) + v
-        mat = IntMatrix(c.tensor_rank(n, total - 1), len(words), data)
-        if not mat.is_zero():
-            boundary[total] = mat
-    return ChainComplex(basis, boundary)
 
 
 def perm_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:

@@ -25,9 +25,22 @@ reduction -- nothing is computed modulo a prime.
 Only this module knows the flat layout of the window: e_i (x) e_j is row
 i*m + j, and e_i (x) e_j (x) e_k row (i*m + j)*m + k.  The window code reads
 sparse entries only, and every bracket [e_i, w] comes from ``_bracket``.
-``normalizing_shift`` is the transfer's normalizing correction on the window:
-one solve for the shifts comul(s_u) (x) e_a and e_a (x) comul(s_u) that move
-the triple window into L3, decoded into words of a binary operator on H.
+
+The admissible freedom is one degree-1 binary operator nu on H: adding
+nu o f to F(f2_1) and nu - sigma nu to hat m2_1, then running the f3_2 step
+again, keeps every relation.  ``perturb`` is the window of that change.  With
+nu1 the H1 -> H1 (x) H1 block of nu, comul stays, sq moves by nu1 + swap nu1,
+and triple(s) by
+
+    delta nu1 (s) + sum c comul(s_u) (x) e_a - sum c' e_a (x) comul(s_u)
+
+over the words c (s_u, e_a) and c' (e_a, s_u) of nu(s).  The other words of
+nu on H1 and H2 have an H0 factor, and neither they nor nu on another degree
+reach the window.  The Massey denominator is the part with nu1 taking
+bracket values (sq stays) and c = c' (the triple moves by
+-c [e_a, comul(s_u)]).  ``normalizing_shift`` is the transfer's normalizing
+correction: one solve for a nu on H2 whose ``perturb`` moves the triple
+window into L3.
 """
 from __future__ import annotations
 
@@ -345,61 +358,40 @@ def massey_invariant(w: InvariantWindow) -> InvariantClass:
     return InvariantClass(massey_group(m, r, w.comul), tuple(rep))
 
 
-# -- admissible perturbations (isomorphism freedom) ------------------------------
+# -- the admissible freedom ------------------------------------------------------
 
-def perturb_sq(window: InvariantWindow, nu: IntMatrix) -> InvariantWindow:
-    """Shift the sq window by nu - sigma nu = nu + swap nu."""
+def perturb(window: InvariantWindow, nu: dict[int, dict]) -> InvariantWindow:
+    """The window after the chain-level change by ``nu`` (module docstring),
+    given as the columns of a degree-1 binary operator on H: source degree ->
+    index -> {word: coefficient}."""
     m = window.h1_rank
-    if nu.shape != (m * m, m):
-        raise ShapeMismatch("nu must be an m^2 x m matrix")
-    swapped = IntMatrix(m * m, m)
-    for (ij, a), v in nu.data.items():
-        i, j = divmod(ij, m)
-        swapped[j * m + i, a] = swapped[j * m + i, a] + v
-    return InvariantWindow(m, window.h2_rank, window.comul,
-                           window.sq + nu + swapped, window.triple)
-
-
-def perturb_massey(window: InvariantWindow, nu: IntMatrix,
-                   gamma: IntMatrix) -> InvariantWindow:
-    """Admissible change of the triple window by a binary morphism component.
-
-    ``nu``: H1 -> H1 (x) H1 (m^2 x m); ``gamma``: H2 -> H1 (x) H2 given as an
-    (m r) x r matrix with rows indexed a*r + u.  The induced shift is
-
-        triple += sum_{gamma} [e_a, comul(s_u)]  -  delta nu,
-
-    which lands entirely in the denominator of the quotient group, so the
-    class must not move.
-    """
-    m, r = window.h1_rank, window.h2_rank
-    if nu.shape != (m * m, m) or gamma.shape != (m * r, r):
-        raise ShapeMismatch("perturbation shapes inconsistent")
-    shift = delta_map(window.comul, nu, m).scale(-1)
+    mm = m * m
+    nu1 = IntMatrix(mm, m, {(_flat(m, word), a): c for a, image in nu.get(1, {}).items()
+                            for word, c in image.items() if all(e == 1 for e, _ in word)})
+    swapped = IntMatrix._adopt(mm, m, {(_swapped(m, ij), a): c
+                                       for (ij, a), c in nu1.data.items()})
+    shift = delta_map(window.comul, nu1, m)
     comul = window.comul.column_entries()
-    for (au, s), v in gamma.data.items():
-        a, u = divmod(au, r)
-        for t, val in _bracket(m, m * m, a, comul.get(u, ())).items():
-            shift[t, s] = shift[t, s] + v * val
-    return InvariantWindow(m, r, window.comul, window.sq,
+    for s, image in nu.get(2, {}).items():
+        for ((e1, x), (e2, y)), c in image.items():
+            if (e1, e2) == (2, 1):      # c (s_x, e_y) adds c comul(s_x) (x) e_y
+                for jk, v in comul.get(x, ()):
+                    shift[jk * m + y, s] = shift[jk * m + y, s] + c * v
+            elif (e1, e2) == (1, 2):    # c (e_x, s_y) adds -c e_x (x) comul(s_y)
+                for jk, v in comul.get(y, ()):
+                    shift[x * mm + jk, s] = shift[x * mm + jk, s] - c * v
+    return InvariantWindow(m, window.h2_rank, window.comul, window.sq + nu1 + swapped,
                            window.triple + shift)
 
 
 # -- the normalizing correction of the transfer --------------------------------
 
 def normalizing_shift(w: InvariantWindow) -> dict[int, dict] | None:
-    """The degree-2 block of a mixed-component correction pushing the triple
-    window into brackets.
-
-    The freedom used is the one the relation list leaves open: for any nu of
-    arity 2 and degree 1 on homology, replacing the binary morphism component
-    by (old + nu o f) and the degree-1 coproduct by (old + nu - sigma nu)
-    conforms, and shifts the H2 -> H1^3 window by combinations of
-    comul(s') (x) x and x (x) comul(s').  Solving integrally for such a
-    combination lands the window inside the degree-3 bracket lattice whenever
-    possible.  The block maps each H2 generator to its image words; None
-    means either nothing to do or no integral solution (the class is then
-    honestly not defined for this package).
+    """The degree-2 block of a nu whose ``perturb`` moves the triple window
+    into the degree-3 bracket lattice, solved integrally against the lattice
+    and the shifts comul(s_u) (x) e_a and e_a (x) comul(s_u).  None means
+    either nothing to do or no integral solution (the class is then honestly
+    not defined for this package).
     """
     m, r = w.h1_rank, w.h2_rank
     if m == 0 or r == 0:
@@ -429,9 +421,7 @@ def normalizing_shift(w: InvariantWindow) -> dict[int, dict] | None:
             continue
         ua, side = divmod(row - lie.rank3, 2)
         u, a = divmod(ua, m)
-        # Delta mu = +comul(s') (x) x on the s'-(x)-x part of nu and
-        # -x (x) comul(s') on the x-(x)-s' part; subtract the found
-        # combination.
+        # the words whose ``perturb`` subtracts the found combination
         word, val = (((2, u), (1, a)), -y) if side == 0 else (((1, a), (2, u)), y)
         block.setdefault(outside[n], {})[word] = val
     return block

@@ -192,22 +192,6 @@ def _pad_other_leaves(tree, keep: int):
     return walk(tree)
 
 
-def one_f_per_path(tree) -> bool:
-    """True when every root-to-leaf path crosses exactly one bimodule vertex."""
-
-    def walk(t, seen):
-        if t is None:
-            return seen == 1
-        name, children = t
-        seen2 = seen + (1 if generator(name).kind == "bimodule" else 0)
-        if seen2 > 1:
-            return False
-        # an arity-0 vertex caps the branch: no exits below, nothing to check
-        return all(walk(c, seen2) for c in children)
-
-    return walk(tree, 0)
-
-
 # -- monomials and elements ---------------------------------------------------
 
 def identity_labels(n: int) -> tuple:
@@ -250,18 +234,6 @@ def el_scale(a: Element, c: int) -> Element:
 
 def el_sub(a: Element, b: Element) -> Element:
     return el_add(a, el_scale(b, -1))
-
-
-def element_arity(a: Element) -> int | None:
-    for (tree, labels) in a:
-        return len(labels)
-    return None
-
-
-def element_degree(a: Element) -> int | None:
-    for (tree, _) in a:
-        return tree_degree(tree)
-    return None
 
 
 def _compose_mono(xm: Monomial, ym: Monomial, i: int) -> tuple[Monomial, int]:

@@ -329,16 +329,6 @@ def normalized_chains(x: SimplicialSet) -> ChainComplex:
     return ChainComplex(basis, boundary)
 
 
-def front_back_faces(x: SimplicialSet, name: str, i: int) -> tuple[Cell, Cell]:
-    """The front face on vertices [0..i] and back face on [i..dim]."""
-    d = x.dim_of[name]
-    if not 0 <= i <= d:
-        raise ValueError(f"split index {i} out of range for a {d}-simplex")
-    front = x.face_on_vertices(name, tuple(range(0, i + 1)))
-    back = x.face_on_vertices(name, tuple(range(i, d + 1)))
-    return front, back
-
-
 # -- bundled models ----------------------------------------------------------
 
 def point() -> SimplicialSet:

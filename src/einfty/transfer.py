@@ -61,12 +61,14 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
     for name in ("f2_1", "f2_2", "f2_3", "f3_2"):
         morph[name] = transfer_step(pkg, name)
     del morph["f2_3"]  # its step is run for hat m2_2
-    nu = _normalizing_correction(pkg)
-    if nu is not None:
+    from .invariants import normalizing_shift, window_from_package  # not loaded with transfer
+    block = normalizing_shift(window_from_package(pkg))
+    if block is not None:
         # Shift the binary morphism component by nu o f and compensate the
         # degree-1 coproduct by nu - sigma nu; the f2_2 relation survives,
         # the f3_2 step re-closes the arity-3 part, and the triple window
-        # moves into the bracket lattice.
+        # moves into the bracket lattice (``invariants.perturb``).
+        nu = GradedOperator._adopt(pkg.homology, pkg.homology, 2, 1, {2: block})
         morph["f2_1"] = morph["f2_1"] + plain_compose(nu, sdr.f)
         hat["m2_1"] = hat["m2_1"] + nu - transpose_swap(nu)
         morph["f3_2"] = transfer_step(pkg, "f3_2")
@@ -90,15 +92,6 @@ def transfer_step(pkg: TransferPackage, name: str) -> GradedOperator:
     hat[mu] = plain_compose(r, sdr.g).scale(-1)
     r = r + plain_compose(hat[mu], sdr.f)
     return plain_compose(r, sdr.h).scale(-1 if gen.degree % 2 else 1)
-
-
-def _normalizing_correction(pkg: TransferPackage) -> GradedOperator | None:
-    """The correction ``invariants.normalizing_shift`` finds for the window
-    of ``pkg``, as a degree-1 binary operator on homology, or None."""
-    from .invariants import normalizing_shift, window_from_package  # no cycle at module load
-    block = normalizing_shift(window_from_package(pkg))
-    return None if block is None else GradedOperator._adopt(
-        pkg.homology, pkg.homology, 2, 1, {2: block})
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:

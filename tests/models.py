@@ -3,9 +3,10 @@ seeded relabellings) and small helpers that the package itself never calls."""
 import random
 from math import gcd
 
-from einfty.chains import ChainComplex, GradedOperator, identity_operator
+from einfty.chains import ChainComplex, GradedOperator, identity_operator, unit_complex
 from einfty.homology import SDR
 from einfty.intlinalg import IntMatrix, column_vector, solve
+from einfty.operads import generator, tree_degree
 from einfty.simplicial import FaceRef, SimplicialSet, standard_simplex
 
 
@@ -150,3 +151,84 @@ def identity_sdr(c: ChainComplex) -> SDR:
         raise ValueError("identity SDR needs a zero differential")
     ident = identity_operator(c)
     return SDR(ident, ident, GradedOperator(c, c, 1, 1, {}))
+
+
+def nu_columns(m: int, nu1: IntMatrix, r: int = 0, gamma: IntMatrix | None = None) -> dict:
+    """The columns, for ``invariants.perturb``, of the change that
+    ``window_oracle.perturb_triple`` writes as (nu1, gamma): -nu1 on H1, and
+    the words (e_a, s_u) and (s_u, e_a) of nu(s), each with -gamma[a*r + u, s].
+    The triple then moves by sum gamma [e_a, comul(s_u)] - delta nu1, and sq
+    by -nu1 - swap nu1."""
+    cols: dict = {1: {}, 2: {}}
+    for (ij, a), v in nu1.data.items():
+        i, j = divmod(ij, m)
+        cols[1].setdefault(a, {})[(1, i), (1, j)] = -v
+    for (au, s), v in (gamma.data.items() if gamma is not None else ()):
+        a, u = divmod(au, r)
+        cols[2].setdefault(s, {}).update({((1, a), (2, u)): -v, ((2, u), (1, a)): -v})
+    return cols
+
+
+def tensor_complex(c: ChainComplex, n: int) -> ChainComplex:
+    """Materialized n-th tensor power with tuple labels (n >= 0)."""
+    if n < 0:
+        raise ValueError("tensor arity must be nonnegative")
+    if n == 1:
+        return c
+    degs = c.degrees()
+    if n == 0 or not degs:
+        return unit_complex() if n == 0 else ChainComplex({}, {})
+    basis = {}
+    boundary = {}
+    for total in range(n * degs[0], n * degs[-1] + 1):
+        words = [c.row_word(n, total, r) for r in range(c.tensor_rank(n, total))]
+        if not words:
+            continue
+        basis[total] = tuple(tuple(c.labels(d)[i] for (d, i) in word) for word in words)
+        data: dict[tuple[int, int], int] = {}
+        for col, word in enumerate(words):
+            for v, face in c.word_boundary(word):
+                key = (c.word_row(n, total - 1, face), col)
+                data[key] = data.get(key, 0) + v
+        mat = IntMatrix(c.tensor_rank(n, total - 1), len(words), data)
+        if not mat.is_zero():
+            boundary[total] = mat
+    return ChainComplex(basis, boundary)
+
+
+def front_back_faces(x: SimplicialSet, name: str, i: int) -> tuple:
+    """The front face on vertices [0..i] and back face on [i..dim]."""
+    d = x.dim_of[name]
+    if not 0 <= i <= d:
+        raise ValueError(f"split index {i} out of range for a {d}-simplex")
+    front = x.face_on_vertices(name, tuple(range(0, i + 1)))
+    back = x.face_on_vertices(name, tuple(range(i, d + 1)))
+    return front, back
+
+
+def one_f_per_path(tree) -> bool:
+    """True when every root-to-leaf path crosses exactly one bimodule vertex."""
+
+    def walk(t, seen):
+        if t is None:
+            return seen == 1
+        name, children = t
+        seen2 = seen + (1 if generator(name).kind == "bimodule" else 0)
+        if seen2 > 1:
+            return False
+        # an arity-0 vertex caps the branch: no exits below, nothing to check
+        return all(walk(c, seen2) for c in children)
+
+    return walk(tree, 0)
+
+
+def element_arity(a: dict) -> int | None:
+    for (tree, labels) in a:
+        return len(labels)
+    return None
+
+
+def element_degree(a: dict) -> int | None:
+    for (tree, _) in a:
+        return tree_degree(tree)
+    return None

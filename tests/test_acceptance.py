@@ -9,7 +9,7 @@ import random
 import time
 from itertools import product
 
-from models import total_rank
+from models import element_arity, element_degree, nu_columns, total_rank
 
 from einfty.chains import bracket_d, compose_slot, identity_operator, tensor_compose, transpose_swap
 from einfty.cobar import build_cobar, check_d_squared_cobar, gr_h0_ranks
@@ -19,11 +19,9 @@ from einfty.formats import fixture_path, load_structure_fixture
 from einfty.homology import build_sdr, homology, sdr_variant
 from einfty.intlinalg import IntMatrix
 from einfty.invariants import (class_equals, lie_lattice, massey_invariant,
-                               perturb_massey, sq_dual_invariant,
-                               window_from_package)
+                               perturb, sq_dual_invariant, window_from_package)
 from einfty.operads import (check_d_squared, compose_i, differential, el_add,
-                            el_scale, element_arity, element_degree, generator,
-                            single)
+                            el_scale, generator, single)
 from einfty.simplicial import (circle, normalized_chains, point,
                                projective_plane, sphere, torus,
                                wedge_of_circles)
@@ -181,7 +179,7 @@ def test_criterion_6_invariant_well_definedness():
         gamma = IntMatrix(m * r, r)
         for i, j in product(range(m * r), range(r)):
             gamma[i, j] = rng.randint(-2, 2)
-        moved = perturb_massey(base, nu, gamma)
+        moved = perturb(base, nu_columns(m, nu, r, gamma))
         assert class_equals(massey_invariant(moved), cls)
     _report("criterion 6: invariants stable across retractions and under "
             "100 admissible perturbations")

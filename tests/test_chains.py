@@ -7,12 +7,12 @@ import operator_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from models import grid_torus
+from models import grid_torus, tensor_complex
 
 from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
                            boundary_operator, compose_slot, identity_operator,
-                           plain_compose, sigma_twist, tensor_complex,
-                           tensor_compose, transpose_swap, unit_complex)
+                           plain_compose, sigma_twist, tensor_compose,
+                           transpose_swap, unit_complex)
 from einfty.coalgebra import chain_structure, cup_table, reduce_structure
 from einfty.homology import homology
 from einfty.intlinalg import IntMatrix

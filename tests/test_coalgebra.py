@@ -4,7 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from models import index_of
+from models import front_back_faces, index_of
 
 from einfty.chains import (bracket_d, compose_slot, identity_operator,
                            tensor_compose, transpose_swap)
@@ -14,10 +14,9 @@ from einfty.coalgebra import (CoalgebraStructure, aw_diagonal, chain_structure,
                               operator_dump, reduce_structure)
 from einfty.errors import MultipleVertices, RelationViolation
 from einfty.operads import generator_differential
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, front_back_faces,
-                               normalized_chains, point, projective_plane,
-                               sphere, standard_simplex, torus,
-                               wedge_of_circles)
+from einfty.simplicial import (FaceRef, SimplicialSet, circle, normalized_chains,
+                               point, projective_plane, sphere, standard_simplex,
+                               torus, wedge_of_circles)
 
 FIXTURES = {
     "point": point(), "circle": circle(), "wedge2": wedge_of_circles(2),

@@ -10,13 +10,15 @@ from massey_oracle import massey_group as oracle_massey_group
 from massey_oracle import normalizing_correction as oracle_correction
 from models import fan_surface, grid_torus, identity_sdr, relabel
 
-from einfty import transfer as transfer_module
+from einfty import invariants
 from einfty.chains import ChainComplex, GradedOperator, pruned
 from einfty.coalgebra import chain_structure
 from einfty.homology import build_sdr
 from einfty.intlinalg import IntMatrix
-from einfty.invariants import delta_map, massey_group
+from einfty.invariants import (delta_map, massey_group, massey_invariant, normalizing_shift,
+                               perturb, window_from_package)
 from einfty.simplicial import torus
+from einfty.transfer import TransferPackage, transfer
 
 
 @st.composite
@@ -57,23 +59,40 @@ def test_delta_map_matches_oracle_on_dense_nu(m, r, data):
     assert delta_map(comul, nu, m) == oracle_delta_map(comul, nu, m)
 
 
-def _corrections(x, monkeypatch):
-    """What ``_normalizing_correction`` returned while ``x`` was transferred,
-    next to the oracle's answer on the same uncorrected operators."""
-    seen = []
-    real = transfer_module._normalizing_correction
+def _operator(h, block):
+    """The degree-1 binary operator on ``h`` that ``transfer`` applies for a
+    block of ``normalizing_shift``, or None."""
+    return None if block is None else GradedOperator._adopt(h, h, 2, 1, {2: block})
 
-    def spy(pkg):
-        hat = dict(pkg.hat_ops)  # transfer replaces entries after the call
-        got = real(pkg)
-        seen.append((got, oracle_correction(hat)))
-        return got
 
-    monkeypatch.setattr(transfer_module, "_normalizing_correction", spy)
+def _spied_transfer(x, monkeypatch):
+    """The package transferred from ``x``, the uncorrected window, the block
+    ``normalizing_shift`` found for it, and the oracle's correction on the
+    same uncorrected operators."""
+    hats, seen = [], []
+    real_window, real_shift = invariants.window_from_package, invariants.normalizing_shift
+
+    def window_spy(pkg):
+        hats.append(dict(pkg.hat_ops))  # transfer replaces entries after the call
+        return real_window(pkg)
+
+    def shift_spy(w):
+        seen.append((w, real_shift(w), oracle_correction(hats[-1])))
+        return seen[-1][1]
+
+    monkeypatch.setattr(invariants, "window_from_package", window_spy)
+    monkeypatch.setattr(invariants, "normalizing_shift", shift_spy)
     s = chain_structure(x, 3)
-    transfer_module.transfer(s, build_sdr(s.complex))
+    pkg = transfer(s, build_sdr(s.complex))
     assert len(seen) == 1
-    return seen[0]
+    return (pkg, *seen[0])
+
+
+def _corrections(x, monkeypatch):
+    """What ``normalizing_shift`` returned while ``x`` was transferred, as the
+    operator ``transfer`` applies, next to the oracle's answer."""
+    pkg, _, block, want = _spied_transfer(x, monkeypatch)
+    return _operator(pkg.homology, block), want
 
 
 @pytest.mark.parametrize("n,seed", [(None, None), (2, 41), (3, 42), (4, 43)])
@@ -82,6 +101,17 @@ def test_correction_matches_oracle_on_tori(n, seed, monkeypatch):
     got, want = _corrections(x, monkeypatch)
     assert want is not None
     assert got == want
+
+
+@pytest.mark.parametrize("n,seed", [(None, None), (2, 41), (3, 42), (4, 43)])
+def test_corrected_window_is_the_perturbed_window(n, seed, monkeypatch):
+    # the correction, read off the corrected package, is ``perturb`` of the
+    # window before it
+    pkg, w0, block, _ = _spied_transfer(torus() if n is None else relabel(grid_torus(n), seed),
+                                        monkeypatch)
+    assert block is not None
+    got, want = window_from_package(pkg), perturb(w0, {2: block})
+    assert (got.comul, got.sq, got.triple) == (want.comul, want.sq, want.triple)
 
 
 def test_correction_is_none_on_genus2_surface(monkeypatch):
@@ -127,7 +157,11 @@ def test_correction_matches_oracle_on_drawn_windows(m, r, data):
             if word:
                 col[word] = col.get(word, 0) + data.draw(coeff)
     pkg = _window_package(m, r, comul, triple)
-    assert transfer_module._normalizing_correction(pkg) == oracle_correction(pkg.hat_ops)
+    w = window_from_package(pkg)
+    block = normalizing_shift(w)
+    assert _operator(pkg.homology, block) == oracle_correction(pkg.hat_ops)
+    if block is not None:
+        massey_invariant(perturb(w, {2: block}))  # the corrected triple lies in L3
 
 
 def test_correction_keeps_the_right_shift_sign():
@@ -139,7 +173,7 @@ def test_correction_keeps_the_right_shift_sign():
 
     pkg = _window_package(3, 2, {0: bracket(1, 2), 1: bracket(0, 1)},
                           {0: {}, 1: {((1, 2), *w): v for w, v in bracket(0, 1).items()}})
-    got = transfer_module._normalizing_correction(pkg)
+    got = _operator(pkg.homology, normalizing_shift(window_from_package(pkg)))
     assert any(word[0][0] == 1 for col in got.cols[2].values() for word in col)
     assert got == oracle_correction(pkg.hat_ops)
 
@@ -152,4 +186,4 @@ def _window_package(m, r, comul, triple):
     hat = {"m2_0": GradedOperator._adopt(h, h, 2, 0, pruned({2: comul})),
            "m2_1": GradedOperator._adopt(h, h, 2, 1, {}),
            "m3_1": GradedOperator._adopt(h, h, 3, 1, pruned({2: triple}))}
-    return transfer_module.TransferPackage(None, identity_sdr(h), hat, {})
+    return TransferPackage(None, identity_sdr(h), hat, {})

@@ -2,14 +2,13 @@
 import random
 
 import pytest
+from models import element_arity, element_degree, one_f_per_path
 
 from einfty.errors import OutsideFragment
 from einfty.operads import (act, check_d_squared, compose_i, differential,
-                            el_add, el_scale, el_sub, element_arity,
-                            element_degree, fragment_generators, generator,
-                            generator_differential, multi_compose,
-                            one_f_per_path, render, single, symmetric_group,
-                            unit, zero)
+                            el_add, el_scale, el_sub, fragment_generators,
+                            generator, generator_differential, multi_compose,
+                            render, single, symmetric_group, unit, zero)
 
 
 def test_generator_table():

@@ -1,12 +1,11 @@
 """Simplicial sets: parsing, identities, faces, chains."""
 import pytest
-from models import rank, serialize
+from models import front_back_faces, rank, serialize
 
 from einfty.errors import SSetParseError, SSetValidationError
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, front_back_faces,
-                               normalized_chains, parse_sset, point,
-                               projective_plane, render_cell, sphere,
-                               standard_simplex, torus, wedge_of_circles)
+from einfty.simplicial import (FaceRef, SimplicialSet, circle, normalized_chains,
+                               parse_sset, point, projective_plane, render_cell,
+                               sphere, standard_simplex, torus, wedge_of_circles)
 
 
 def test_parse_point_and_circle():

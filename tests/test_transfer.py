@@ -1,6 +1,7 @@
 """Homotopy transfer: relation verification, invariance data, comparison,
-and the table-driven transfer against the hand-written formulas of
-``transfer_oracle.py``."""
+the table-driven transfer against the hand-written formulas of
+``transfer_oracle.py``, and ``invariants.perturb`` against the chain-level
+change it describes."""
 import random
 from functools import lru_cache
 
@@ -11,7 +12,7 @@ from models import fan_surface, grid_torus, in_column_span, relabel
 from structure_compare import compare_structures
 from transfer_oracle import transfer as oracle_transfer
 
-from einfty import transfer as transfer_module
+from einfty import invariants
 from einfty.chains import GradedOperator, plain_compose, pruned, transpose_swap
 from einfty.coalgebra import chain_structure
 from einfty.errors import ShapeMismatch, TorsionPresent
@@ -221,14 +222,14 @@ def retracted_models(draw):
 def test_transfer_matches_oracle(model):
     s, sdr = model
     corrections = []
-    real = transfer_module._normalizing_correction
+    real = invariants.normalizing_shift
 
-    def spy(pkg):
-        corrections.append(real(pkg))
+    def spy(w):
+        corrections.append(real(w))
         return corrections[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer_module, "_normalizing_correction", spy)
+        mp.setattr(invariants, "normalizing_shift", spy)
         want = oracle_transfer(s, sdr)
         got = transfer(s, sdr)
     assert got.hat_ops == want.hat_ops
@@ -296,6 +297,15 @@ def test_chain_level_correction_keeps_every_relation(name, data):
     # (words s_u (x) e_a next to e_a (x) s_u) included
     nu = _nu(_transferred(name).homology, lambda: data.draw(st.integers(-2, 2)))
     assert verify_relations(_shifted(name, nu)) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CORRECTED)), st.data())
+def test_perturb_is_the_window_of_the_chain_level_change(name, data):
+    nu = _nu(_transferred(name).homology, lambda: data.draw(st.integers(-2, 2)))
+    got = invariants.perturb(invariants.window_from_package(_transferred(name)), nu.cols)
+    want = invariants.window_from_package(_shifted(name, nu))
+    assert (got.comul, got.sq, got.triple) == (want.comul, want.sq, want.triple)
 
 
 def test_correction_needs_the_compensation_and_the_reclose():

@@ -7,14 +7,14 @@ import window_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from massey_oracle import massey_invariant as oracle_massey_invariant
-from models import fan_surface, grid_torus, identity_sdr, relabel
+from models import fan_surface, grid_torus, identity_sdr, nu_columns, relabel
 
 from einfty.chains import ChainComplex, GradedOperator, pruned
 from einfty.coalgebra import chain_structure
 from einfty.errors import EinftyError
 from einfty.homology import build_sdr
 from einfty.intlinalg import IntMatrix, column_span_saturation
-from einfty.invariants import (lie_lattice, massey_invariant, perturb_massey, sq_dual_invariant,
+from einfty.invariants import (lie_lattice, massey_invariant, perturb, sq_dual_invariant,
                                sq_group, window_from_package)
 from einfty.simplicial import torus, wedge_of_circles
 from einfty.transfer import TransferPackage, transfer
@@ -136,5 +136,7 @@ def test_window_layer_matches_oracle(pkg, data):
     _same_class(massey_invariant, oracle_massey_invariant, w)
     m, r = w.h1_rank, w.h2_rank
     nu, gamma = _sparse(data.draw, m * m, m), _sparse(data.draw, m * r, r)
-    got, want = perturb_massey(w, nu, gamma), oracle.perturb_massey(w, nu, gamma)
-    assert (got.comul, got.sq, got.triple) == (want.comul, want.sq, want.triple)
+    got, want = perturb(w, nu_columns(m, nu, r, gamma)), oracle.perturb_triple(w, nu, gamma)
+    assert (got.comul, got.triple) == (want.comul, want.triple)
+    swapped = {((ij % m) * m + ij // m, a): v for (ij, a), v in nu.data.items()}
+    assert got.sq == w.sq - nu - IntMatrix(m * m, m, swapped)

@@ -12,13 +12,13 @@ binary components and P for the arity-3 ones, closed by ``close_arity3``,
         P      = -(hat m2_0 o_1 F2_1) + (hat m2_0 o_2 F2_1)
                  - (F2_1 (x) f) Delta_0 + (f (x) F2_1) Delta_0
 
-It calls the package's ``_normalizing_correction`` through the module, so a
-spy sees both transfers' calls.  ``tests/test_transfer.py`` requires equal
+It calls ``einfty.invariants.normalizing_shift`` through the module, so a spy
+sees both transfers' calls.  ``tests/test_transfer.py`` requires equal
 hat and morphism operators, the same correction and the same errors.
 """
 from __future__ import annotations
 
-from einfty import transfer as transfer_module
+from einfty import invariants
 from einfty.chains import (GradedOperator, compose_slot, plain_compose, tensor_compose,
                            transpose_swap)
 from einfty.coalgebra import CoalgebraStructure, violation
@@ -59,8 +59,9 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
 
     close_arity3(hat, morph)
     pkg = TransferPackage(source, sdr, hat, morph)
-    nu = transfer_module._normalizing_correction(pkg)
-    if nu is not None:
+    block = invariants.normalizing_shift(invariants.window_from_package(pkg))
+    if block is not None:
+        nu = GradedOperator._adopt(pkg.homology, pkg.homology, 2, 1, {2: block})
         # Shift the binary morphism component by nu o f and compensate the
         # degree-1 coproduct by nu - sigma nu; every relation survives, and
         # the triple window moves into the bracket lattice.

@@ -5,9 +5,10 @@ written sparse: brackets as dense lists (``_bracket2``, ``_bracket_with_left``),
 the spans that ``lie_lattice`` saturates, the Sq presentation through dense
 symmetric coordinates, the symmetry checks of ``InvariantWindow.validate``
 over dense columns, one extraction loop per window block in
-``window_from_package``, and ``perturb_massey`` over dense columns of gamma and
-comul.  ``tests/test_window_oracle.py`` requires the package's versions to
-give the same messages, matrices and classes.
+``window_from_package``, and, as ``perturb_triple``, the move of the triple
+window by (nu, gamma) over dense columns of gamma and comul that the package
+had before ``invariants.perturb``.  ``tests/test_window_oracle.py`` requires
+the package's versions to give the same messages, matrices and classes.
 """
 from __future__ import annotations
 
@@ -135,7 +136,7 @@ def sq_dual_invariant(w: InvariantWindow) -> InvariantClass:
     return InvariantClass(sq_group(m), tuple(rep))
 
 
-def perturb_massey(window: InvariantWindow, nu: IntMatrix,
+def perturb_triple(window: InvariantWindow, nu: IntMatrix,
                    gamma: IntMatrix) -> InvariantWindow:
     """triple += sum_{gamma} [e_a, comul(s_u)] - delta nu."""
     m, r = window.h1_rank, window.h2_rank
