@@ -22,13 +22,17 @@ Rows appear only at the linear-algebra boundary.  The words of one total
 degree, ordered lexicographically, are the rows of the induced tensor
 basis; ``ChainComplex.word_row`` and ``row_word`` convert between the two
 by a closed rank/unrank formula from the rank counts of L.  Operators are
-built from such matrices (Smith output), and ``GradedOperator.blocks`` turns
-them back into matrices for the solvers.
+built from such matrices (Smith output); no solver reads them back, and
+``GradedOperator.blocks`` serves the tests and the benchmark's counters.
+
+An exact identity of operators is a (relation, got, want) triple, and
+``failures`` is the one check that locates every failed one.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import RelationViolation
 from .intlinalg import IntMatrix
 
 TensorKey = tuple[tuple[int, int], ...]
@@ -204,8 +208,7 @@ class GradedOperator:
     ``cols`` maps a source degree to the nonzero columns of that degree:
     source index -> {target word: coefficient}.  It holds no zero entry, no
     empty column and no empty degree, and it is not modified after
-    construction.  ``blocks`` and ``block`` rank the words into matrices for
-    the linear algebra.
+    construction.  ``blocks`` and ``block`` rank the words into matrices.
     """
 
     __slots__ = ("source", "target", "arity", "degree", "cols")
@@ -462,3 +465,47 @@ def transpose_swap(f: GradedOperator) -> GradedOperator:
     if f.arity != 2:
         raise ValueError("transpose_swap needs arity 2")
     return sigma_twist((1, 0), f)
+
+
+# -- exact identities ------------------------------------------------------------
+
+def expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
+    """One basis image of ``op`` as [coefficient, word] pairs, the words
+    spelled in cell labels ("1" for the empty word)."""
+    labels = op.target.labels
+    return [[v, "(x)".join(str(labels(e)[i]) for e, i in word) or "1"]
+            for v, word in op.image_of(d, idx)]
+
+
+def mismatch(relation: str, got: GradedOperator, want: GradedOperator) -> dict:
+    """A failed identity ``got == want``, named at the first source degree
+    and basis element where the two differ, with both images.
+
+    Meant for the failure path only: it walks the images until they differ.
+    """
+    for d in sorted(set(got.cols) | set(want.cols)):
+        have, need = got.cols.get(d, {}), want.cols.get(d, {})
+        for idx in sorted(set(have) | set(need)):
+            if have.get(idx) != need.get(idx):
+                element = str(got.source.labels(d)[idx])
+                expected, actual = expansion(want, d, idx), expansion(got, d, idx)
+                spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0"
+                         for terms in (expected, actual)]
+                return {"relation": relation,
+                        "detail": f"degree {d}, {element}: expected {spell[0]}, "
+                                  f"got {spell[1]}",
+                        "degree": d, "element": element,
+                        "expected": expected, "actual": actual}
+    return {"relation": relation, "detail": "operators differ in shape"}
+
+
+def failures(checks) -> list[dict]:
+    """One ``mismatch`` per (relation, got, want) triple of ``checks`` whose
+    two sides differ, in order; empty when every identity holds."""
+    return [mismatch(relation, got, want) for relation, got, want in checks if got != want]
+
+
+def violation(entry: dict) -> RelationViolation:
+    """The error for a failed-relation entry of ``verify``-style reports."""
+    fields = {k: v for k, v in entry.items() if k not in ("relation", "detail")}
+    return RelationViolation(entry["relation"], entry.get("detail", ""), fields)

@@ -58,16 +58,16 @@ def _class_report(cls) -> dict:
     }
 
 
-def _window_for(path: Path, max_cup: int):
+def _window_for(path: Path):
     if path.suffix == ".coalg":
         from .formats import load_structure_fixture
         return load_structure_fixture(path)
     from .coalgebra import chain_structure
     from .homology import build_sdr
     from .invariants import window_from_package
-    from .transfer import transfer
+    from .transfer import MAX_CUP, transfer
     x = _load_sset(path)
-    s = chain_structure(x, max_cup)
+    s = chain_structure(x, MAX_CUP)
     pkg = transfer(s, build_sdr(s.complex))
     return window_from_package(pkg)
 
@@ -101,11 +101,12 @@ def cmd_coalgebra(args) -> dict:
 
 
 def cmd_transfer(args) -> dict:
-    from .coalgebra import chain_structure, expansion
+    from .chains import expansion
+    from .coalgebra import chain_structure
     from .homology import build_sdr
-    from .transfer import transfer
+    from .transfer import MAX_CUP, transfer
     x = _load_sset(_resolve_input(args.input))
-    s = chain_structure(x, args.max_cup)
+    s = chain_structure(x, MAX_CUP)
     pkg = transfer(s, build_sdr(s.complex))  # raises on any violated relation
     h = pkg.homology
     operators = {}
@@ -129,7 +130,7 @@ def cmd_cobar(args) -> dict:
     from .coalgebra import chain_structure, reduce_structure
     from .cobar import build_cobar, check_d_squared_cobar, describe_failure, gr_h0_ranks
     x = _load_sset(_resolve_input(args.input))
-    s = chain_structure(x, args.max_cup)
+    s = chain_structure(x, 0)  # the cobar differential reads m2_0 only
     red = reduce_structure(s)
     t = build_cobar(red, args.max_len)
     bad = [r for r in check_d_squared_cobar(t) if not r["ok"]]
@@ -144,7 +145,7 @@ def cmd_cobar(args) -> dict:
 
 def cmd_invariant(args) -> dict:
     from .invariants import massey_invariant, sq_dual_invariant
-    w = _window_for(_resolve_input(args.input), args.max_cup)
+    w = _window_for(_resolve_input(args.input))
     return {
         "h1_rank": w.h1_rank,
         "h2_rank": w.h2_rank,
@@ -155,8 +156,8 @@ def cmd_invariant(args) -> dict:
 
 def cmd_compare(args) -> dict:
     from .invariants import class_equals, massey_invariant, sq_dual_invariant
-    wa = _window_for(_resolve_input(args.input), args.max_cup)
-    wb = _window_for(_resolve_input(args.input_b), args.max_cup)
+    wa = _window_for(_resolve_input(args.input))
+    wb = _window_for(_resolve_input(args.input_b))
     sq_eq = class_equals(sq_dual_invariant(wa), sq_dual_invariant(wb))
     ma_eq = class_equals(massey_invariant(wa), massey_invariant(wb))
     return {"sq_dual_equal": sq_eq, "massey_equal": ma_eq}
@@ -243,16 +244,13 @@ def cmd_selfcheck(args) -> dict:
     return {"seed": args.seed, "all_ok": ok, "checks": checks}
 
 
-# commands that transfer the structure to homology, which needs m2_0..m2_2
-_TRANSFER_COMMANDS = ("transfer", "invariant", "compare", "selfcheck")
-
-
 def _check_flags(args) -> None:
     max_cup = getattr(args, "max_cup", None)
     if max_cup is not None:
-        if args.command in _TRANSFER_COMMANDS:
-            if max_cup < 2:
-                raise BadFlag("--max-cup", max_cup, 2,
+        if args.command == "selfcheck":  # it runs the transfer on every fixture
+            from .transfer import MAX_CUP
+            if max_cup < MAX_CUP:
+                raise BadFlag("--max-cup", max_cup, MAX_CUP,
                               "the transfer needs the cup coproducts up to m2_2")
         elif max_cup < 0:
             raise BadFlag("--max-cup", max_cup, 0, "cup indices are nonnegative")
@@ -301,7 +299,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                      "fixture name")
         if name == "compare":
             p.add_argument("input_b", help="second input for the comparison")
-        if name not in ("validate", "homology"):
+        if name == "coalgebra":
             p.add_argument("--max-cup", type=int, default=3, metavar="K",
                            help="highest cup coproduct to build (default 3)")
         p.add_argument("--out", metavar="PATH", help="write the report here "

@@ -23,12 +23,12 @@ through.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
-from .chains import (ChainComplex, Columns, GradedOperator, pruned, bracket_d,
-                     identity_operator, sigma_twist, tensor_compose,
-                     unit_complex, zero_operator)
-from .errors import MultipleVertices, RelationViolation
+from .chains import (ChainComplex, Columns, GradedOperator, bracket_d, expansion,
+                     failures, identity_operator, pruned, sigma_twist, tensor_compose,
+                     unit_complex, violation, zero_operator)
+from .errors import MultipleVertices
 from .operads import generator, generator_differential
 from .simplicial import SimplicialSet, normalized_chains
 
@@ -163,56 +163,16 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
     return total
 
 
-def expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
-    """One basis image of ``op`` as [coefficient, word] pairs, the words
-    spelled in cell labels ("1" for the empty word)."""
-    labels = op.target.labels
-    return [[v, "(x)".join(str(labels(e)[i]) for e, i in word) or "1"]
-            for v, word in op.image_of(d, idx)]
-
-
-def bracket_mismatch(relation: str, got: GradedOperator, want: GradedOperator) -> dict:
-    """A failed identity ``got == want``, named at the first source degree
-    and basis element where the two differ, with both images.
-
-    Meant for the failure path only: it walks the images until they differ.
-    """
-    for d in sorted(set(got.cols) | set(want.cols)):
-        have, need = got.cols.get(d, {}), want.cols.get(d, {})
-        for idx in sorted(set(have) | set(need)):
-            if have.get(idx) != need.get(idx):
-                element = str(got.source.labels(d)[idx])
-                expected, actual = expansion(want, d, idx), expansion(got, d, idx)
-                spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0"
-                         for terms in (expected, actual)]
-                return {"relation": relation,
-                        "detail": f"degree {d}, {element}: expected {spell[0]}, "
-                                  f"got {spell[1]}",
-                        "degree": d, "element": element,
-                        "expected": expected, "actual": actual}
-    return {"relation": relation, "detail": "operators differ in shape"}
-
-
-def bracket_failures(ops: dict[str, GradedOperator], label: str, **realize) -> list[dict]:
-    """[d, op] against the realized differential of its generator, for each
-    named operator in name order; one ``bracket_mismatch`` per failure,
-    named by ``label.format(name)``.  ``realize`` holds the operator
-    assignments that ``evaluate`` reads."""
-    bad = []
+def bracket_checks(ops: dict[str, GradedOperator], label: str, **realize):
+    """The identities [d, op] = d(name) realized, as (relation, got, want)
+    triples for ``chains.failures``: one per named operator in name order,
+    the relation named ``label.format(name)``.  ``realize`` holds the
+    operator assignments that ``evaluate`` reads."""
     for name in sorted(ops):
         op, g = ops[name], generator(name)
         want = evaluate(generator_differential(name), source=op.source, target=op.target,
                         arity=g.arity, degree=g.degree - 1, **realize)
-        got = bracket_d(op)
-        if got != want:
-            bad.append(bracket_mismatch(label.format(name), got, want))
-    return bad
-
-
-def violation(entry: dict) -> RelationViolation:
-    """The error for a failed-relation entry of ``verify``-style reports."""
-    fields = {k: v for k, v in entry.items() if k not in ("relation", "detail")}
-    return RelationViolation(entry["relation"], entry.get("detail", ""), fields)
+        yield label.format(name), bracket_d(op), want
 
 
 class CoalgebraStructure:
@@ -236,23 +196,17 @@ class CoalgebraStructure:
         return sorted(self.ops)
 
     def verify(self) -> list[dict]:
-        """Check every structure relation as an exact identity of operators.
-
-        A failed bracket identity names the first source degree and basis
-        element where [d, op] differs from its required value, with both
-        image expansions (see ``bracket_mismatch``).
-        """
-        bad = bracket_failures(self.ops, "[d, {0}]", chain_ops=self.ops)
+        """Check every structure relation as an exact identity of operators,
+        the brackets and (unreduced) the two counit identities; one located
+        ``chains.mismatch`` per failure."""
+        checks = bracket_checks(self.ops, "[d, {0}]", chain_ops=self.ops)
         if not self.reduced:
-            delta0 = self.ops["m2_0"]
+            delta0, p = self.ops["m2_0"], self.ops["p"]
             ident = identity_operator(self.complex)
-            left = tensor_compose([self.ops["p"], ident], delta0)
-            right = tensor_compose([ident, self.ops["p"]], delta0)
-            if left != ident:
-                bad.append({"relation": "(p (x) id) m2_0 = id"})
-            if right != ident:
-                bad.append({"relation": "(id (x) p) m2_0 = id"})
-        return bad
+            checks = chain(checks, [
+                ("(p (x) id) m2_0 = id", tensor_compose([p, ident], delta0), ident),
+                ("(id (x) p) m2_0 = id", tensor_compose([ident, p], delta0), ident)])
+        return failures(checks)
 
 
 def chain_structure(x: SimplicialSet, max_k: int = 3) -> CoalgebraStructure:

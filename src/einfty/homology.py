@@ -15,8 +15,8 @@ map on B, and all five side conditions hold on the nose:
 """
 from __future__ import annotations
 
-from .chains import (ChainComplex, GradedOperator, boundary_operator,
-                     identity_operator, plain_compose)
+from .chains import (ChainComplex, GradedOperator, boundary_operator, failures,
+                     identity_operator, plain_compose, violation)
 from .errors import TorsionPresent
 from .intlinalg import IntMatrix, smith
 
@@ -111,31 +111,22 @@ class SDR:
     def retract(self) -> ChainComplex:
         return self.f.target
 
-    def verify(self) -> list[str]:
-        """Names of violated identities (empty == valid SDR)."""
-        k, l = self.total, self.retract
-        bad = []
-        fg = plain_compose(self.f, self.g)
-        if fg != identity_operator(l):
-            bad.append("f g = id_L")
+    def verify(self) -> list[dict]:
+        """The five side conditions and two consequences as exact identities;
+        one located ``chains.mismatch`` per failure (empty == valid SDR)."""
+        k, l, f, g, h = self.total, self.retract, self.f, self.g, self.h
         dk = boundary_operator(k)
-        gf = plain_compose(self.g, self.f)
-        homotopy = identity_operator(k) + plain_compose(dk, self.h) \
-            + plain_compose(self.h, dk)
-        if gf != homotopy:
-            bad.append("g f = id_K + d h + h d")
-        if not plain_compose(self.h, self.h).is_zero():
-            bad.append("h h = 0")
-        if not plain_compose(self.f, self.h).is_zero():
-            bad.append("f h = 0")
-        if not plain_compose(self.h, self.g).is_zero():
-            bad.append("h g = 0")
-        # consequences, cheap to assert
-        if plain_compose(fg, self.f) != self.f:
-            bad.append("f g f = f")
-        if plain_compose(self.g, fg) != self.g:
-            bad.append("g f g = g")
-        return bad
+        fg, hh, fh, hg = (plain_compose(a, b) for a, b in ((f, g), (h, h), (f, h), (h, g)))
+        return failures([
+            ("f g = id_L", fg, identity_operator(l)),
+            ("g f = id_K + d h + h d", plain_compose(g, f),
+             identity_operator(k) + plain_compose(dk, h) + plain_compose(h, dk)),
+            ("h h = 0", hh, hh.scale(0)),
+            ("f h = 0", fh, fh.scale(0)),
+            ("h g = 0", hg, hg.scale(0)),
+            # consequences, cheap to assert
+            ("f g f = f", plain_compose(fg, f), f),
+            ("g f g = g", plain_compose(g, fg), g)])
 
 
 def homology_complex(c: ChainComplex, report: HomologyReport | None = None) -> ChainComplex:
@@ -179,7 +170,7 @@ def build_sdr(c: ChainComplex) -> SDR:
     sdr = SDR(f, g, h)
     bad = sdr.verify()
     if bad:
-        raise AssertionError(f"SDR construction violated: {bad}")
+        raise violation(bad[0])
     return sdr
 
 
@@ -202,5 +193,5 @@ def sdr_variant(sdr: SDR, theta_blocks: dict[int, IntMatrix]) -> SDR:
     out = SDR(sdr.f, g2, h2)
     bad = out.verify()
     if bad:
-        raise AssertionError(f"gauge twist broke the SDR: {bad}")
+        raise violation(bad[0])
     return out

@@ -4,15 +4,15 @@ Everything here works with arbitrary-precision Python ints; there are no
 floating point or modular shortcuts anywhere.  Matrices are stored sparsely
 (dict of (row, col) -> nonzero entry) because chain operators are sparse,
 and the Smith elimination runs over nonzeros only.  Its working copy is a
-list of sparse rows, and no step of it walks the remaining rows.  A
-column -> rows index finds the rows holding a column, so a column swap
-touches only those rows.  Each row keeps its smallest |entry| and the gcd of
-its entries, recomputed only after an operation changed the row, so the
-pivot search and the divisibility check read one number per row.  The pivot
-order is the contract that keeps the transforms stable (see ``smith``), so
-pivots are not reordered for low fill: another order would give different
-bases to every caller that reads the transforms, such as the homology
-retractions.
+list of sparse rows, and no step of it walks the entries of the remaining
+rows.  A column -> rows index finds the rows holding a column, so a column
+swap touches only those rows.  Each row keeps its smallest |entry| and the
+gcd of its entries, recomputed only after an operation changed the row, so
+the pivot search and the divisibility check scan one cached number per
+remaining row at each step.  The pivot order is the contract that keeps the
+transforms stable (see ``smith``), so pivots are not reordered for low
+fill: another order would give different bases to every caller that reads
+the transforms, such as the homology retractions.
 
 The Smith normal form routine is the workhorse for everything downstream:
 homology, retraction bases, lattice saturation, membership tests and
@@ -339,16 +339,16 @@ def smith(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithForm:
     cleared by one unimodular gcd step (which never occurs on a block whose
     pivots divide their row and column), so coefficients stay bounded.
 
-    None of these choices walks the remaining rows.  Each row keeps its
+    None of these choices walks the entries of the remaining rows, but each
+    step scans one cached number per remaining row.  Each row keeps its
     smallest |entry| and the gcd of its entries, built when first needed and
     then recomputed only for the rows an operation changed.  The pivot row
     is row t when that holds a unit, and otherwise the first row whose
-    minimum is least, found by a search of the list of minima; the first
-    offending row is looked for only when the gcd of the remaining rows'
-    contents shows that one exists.  A column -> rows index, which
-    operations only add to and whose readers skip the rows that no longer
-    hold the column, gives the rows to clear below the pivot and the only
-    rows a column swap touches.
+    minimum is least (``low.index``, ``min(low[t:])``); the first offending
+    row is looked for only when ``gcd(*content[t + 1:])`` shows that one
+    exists.  A column -> rows index, which operations only add to and whose
+    readers skip the rows that no longer hold the column, gives the rows to
+    clear below the pivot and the only rows a column swap touches.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> sf = smith(m)

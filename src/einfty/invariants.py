@@ -191,17 +191,19 @@ class InvariantWindow:
         self.sq = sq            # m^2 x m, symmetric columns
         self.triple = triple    # m^3 x r
 
+    def asymmetry(self, name: str) -> str | None:
+        """Block ``comul`` (antisymmetric) or ``sq`` (symmetric), each nonzero
+        entry against its swapped entry: the first failing column, named,
+        or None."""
+        sign, kind = (-1, "antisymmetric") if name == "comul" else (1, "symmetric")
+        mat = getattr(self, name)
+        cols = [col for (ij, col), v in mat.data.items()
+                if mat[_swapped(self.h1_rank, ij), col] != sign * v]
+        return f"{name} column {min(cols)} is not {kind}" if cols else None
+
     def validate(self) -> list[str]:
-        """Each nonzero entry against its swapped entry; the first failing
-        column of each block is named."""
-        bad = []
-        for name, sign, kind in (("comul", -1, "antisymmetric"), ("sq", 1, "symmetric")):
-            mat = getattr(self, name)
-            cols = [col for (ij, col), v in mat.data.items()
-                    if mat[_swapped(self.h1_rank, ij), col] != sign * v]
-            if cols:
-                bad.append(f"{name} column {min(cols)} is not {kind}")
-        return bad
+        """``asymmetry`` of both blocks, the failing ones only."""
+        return [msg for msg in map(self.asymmetry, ("comul", "sq")) if msg]
 
 
 def window_from_package(pkg) -> InvariantWindow:
@@ -246,9 +248,9 @@ def sq_dual_invariant(w: InvariantWindow) -> InvariantClass:
     window; a non-symmetric one means the input package does not conform.
     """
     m = w.h1_rank
-    bad = [msg for msg in w.validate() if msg.startswith("sq")]
+    bad = w.asymmetry("sq")
     if bad:
-        raise RelationViolation("hat m2_1 = -sigma hat m2_1", bad[0])
+        raise RelationViolation("hat m2_1 = -sigma hat m2_1", bad)
     slots = _sym_slots(m)
     nsym = len(slots)
     rep = [0] * (m * nsym)
@@ -344,9 +346,9 @@ def massey_invariant(w: InvariantWindow) -> InvariantClass:
     the offending generator otherwise.
     """
     m, r = w.h1_rank, w.h2_rank
-    bad = [msg for msg in w.validate() if msg.startswith("comul")]
+    bad = w.asymmetry("comul")
     if bad:
-        raise RelationViolation("hat m2_0 = sigma hat m2_0", bad[0])
+        raise RelationViolation("hat m2_0 = sigma hat m2_0", bad)
     lie = lie_lattice(m)
     coords = lie.degree3_smith.solve(w.triple)
     if coords is None:

@@ -25,13 +25,17 @@ relation list is the contract.
 """
 from __future__ import annotations
 
-from .chains import ChainComplex, GradedOperator, plain_compose, transpose_swap, zero_operator
-from .coalgebra import CoalgebraStructure, bracket_failures, evaluate, violation
+from itertools import chain
+
+from .chains import (ChainComplex, GradedOperator, failures, plain_compose, transpose_swap,
+                     violation, zero_operator)
+from .coalgebra import CoalgebraStructure, bracket_checks, evaluate
 from .errors import ShapeMismatch
 from .homology import SDR
 from .operads import generator, generator_differential
 
 HAT_OPS = ("m2_0", "m2_1", "m2_2", "m3_1")
+MAX_CUP = 2  # the highest cup coproduct read: m2_2, by the f2_3 step
 MORPHISM_OPS = ("f2_1", "f2_2", "f3_2")
 
 
@@ -100,20 +104,19 @@ def verify_relations(pkg: TransferPackage) -> list[dict]:
     Over H the differential is zero, so [d, hat m2_1] = d m2_1 realized is
     the symmetry of hat m2_0, [d, hat m2_2] that of hat m2_1 and
     [d, hat m3_1] the coassociativity of hat m2_0; the symmetry of hat m2_2
-    is checked on its own.  A failed bracket identity names the first source
-    degree and basis element where it fails, with the expected and actual
-    expansions.
+    is checked on its own.  ``chains.failures`` locates every failed
+    identity; a missing component is reported alone, before any is checked.
     """
     hat, morph = pkg.hat_ops, pkg.morphism_ops
-    bad = [] if morph.get("f1") == pkg.sdr.f else [{"relation": "F(f1) = f"}]
     missing = [{"relation": f"hat {name} present"} for name in HAT_OPS if name not in hat]
-    missing += [{"relation": f"F({name}) present"} for name in MORPHISM_OPS
+    missing += [{"relation": f"F({name}) present"} for name in ("f1", *MORPHISM_OPS)
                 if name not in morph]
     if missing:
-        return bad + missing
-    bad += bracket_failures(hat, "[d, hat {0}]", chain_ops=hat)
-    if hat["m2_2"] != transpose_swap(hat["m2_2"]):
-        bad.append({"relation": "hat m2_2 = (-1)^2 sigma hat m2_2"})
-    return bad + bracket_failures({name: morph[name] for name in MORPHISM_OPS},
-                                  "[d, F({0})] = d{0} realized", chain_ops=pkg.source.ops,
-                                  module_ops=morph, homology_ops=hat)
+        return missing
+    return failures(chain(
+        [("F(f1) = f", morph["f1"], pkg.sdr.f)],
+        bracket_checks(hat, "[d, hat {0}]", chain_ops=hat),
+        [("hat m2_2 = (-1)^2 sigma hat m2_2", hat["m2_2"], transpose_swap(hat["m2_2"]))],
+        bracket_checks({name: morph[name] for name in MORPHISM_OPS},
+                       "[d, F({0})] = d{0} realized", chain_ops=pkg.source.ops,
+                       module_ops=morph, homology_ops=hat)))

@@ -144,6 +144,23 @@ def test_structure_verifier_names_the_failing_element():
     assert payload["actual"] == first["actual"]
 
 
+def test_counit_identities_are_located():
+    # a doubled counit keeps [d, p] = 0 but breaks both counit identities at v
+    s = chain_structure(torus(), 2)
+    broken = {**s.ops, "p": s.op("p").scale(2)}
+    bad = CoalgebraStructure(s.complex, broken, max_k=2, check=False).verify()
+    assert bad == [{"relation": f"{side} m2_0 = id",
+                    "detail": "degree 0, v: expected +1 v, got +2 v",
+                    "degree": 0, "element": "v",
+                    "expected": [[1, "v"]], "actual": [[2, "v"]]}
+                   for side in ("(p (x) id)", "(id (x) p)")]
+    with pytest.raises(RelationViolation) as err:
+        CoalgebraStructure(s.complex, broken, max_k=2)
+    payload = err.value.payload()
+    assert payload["relation"] == "(p (x) id) m2_0 = id"
+    assert (payload["degree"], payload["element"], payload["actual"]) == (0, "v", [[2, "v"]])
+
+
 def test_point_structure():
     s = chain_structure(point(), 3)
     dump = operator_dump(s)

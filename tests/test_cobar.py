@@ -5,6 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import cobar_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from models import fan_surface, grid_torus, one_vertex_simplex, relabel
 
 from einfty import cli, cobar
@@ -29,6 +31,17 @@ def _ranks(t):
 
 def _torsion(t):
     return [entry["torsion"] for entry in gr_h0_ranks(t)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(fan_surface, 1), (fan_surface, 2), (one_vertex_simplex, 3)]),
+       st.none() | st.integers(0, 2 ** 16))
+def test_cobar_reads_no_cup_coproduct(model, seed):
+    # the cobar differential reads m2_0 only, so the ranks built from m2_0
+    # alone equal those built with the cup coproducts up to m2_3
+    family, size = model
+    x = family(size) if seed is None else relabel(family(size), seed)
+    assert gr_h0_ranks(_cobar(x, 3, 0)) == gr_h0_ranks(_cobar(x, 3, 3))
 
 
 def test_point_is_ground_ring():

@@ -11,9 +11,9 @@ from models import fan_surface, grid_torus, identity_sdr, relabel, total_rank
 
 from einfty import homology as homology_module
 from einfty import intlinalg
-from einfty.chains import ChainComplex
-from einfty.errors import TorsionPresent
-from einfty.homology import build_sdr, homology, sdr_variant
+from einfty.chains import ChainComplex, GradedOperator, plain_compose
+from einfty.errors import RelationViolation, TorsionPresent
+from einfty.homology import SDR, build_sdr, homology, sdr_variant
 from einfty.intlinalg import IntMatrix
 from einfty.simplicial import (circle, normalized_chains, point,
                                projective_plane, sphere, standard_simplex, torus,
@@ -172,6 +172,88 @@ def test_gauge_variant_is_sdr_and_differs():
     v = sdr_variant(sdr, theta)
     assert v.verify() == []
     assert v.g != sdr.g or v.h != sdr.h
+
+
+# -- each side condition caught and located -------------------------------------
+
+def _plus(op, d, i, word):
+    """``op`` with one more ``word`` in the image of basis element i of degree d."""
+    return op + GradedOperator._adopt(op.source, op.target, op.arity, op.degree,
+                                      {d: {i: {word: 1}}})
+
+
+def _g_theta_f(sdr):
+    """g theta f for the degree-1 map theta: h1_0 -> h2_0 of the retract."""
+    theta = GradedOperator._adopt(sdr.retract, sdr.retract, 1, 1, {1: {0: {((2, 0),): 1}}})
+    return plain_compose(plain_compose(sdr.g, theta), sdr.f)
+
+
+# relation -> (complex, corruption of its retraction); h h = 0 needs h in two
+# consecutive degrees, which the 2-simplex has and the torus does not
+CORRUPTIONS = {
+    "f g = id_L": ("torus", lambda r: SDR(r.f.scale(2), r.g, r.h)),
+    "g f = id_K + d h + h d": ("torus", lambda r: SDR(r.f, r.g, r.h.scale(2))),
+    # h sends vertex 0 to edge 1; one more term edge 1 -> triangle
+    "h h = 0": ("simplex2", lambda r: SDR(r.f, r.g, _plus(r.h, 1, 1, ((2, 0),)))),
+    "f h = 0": ("torus", lambda r: SDR(r.f, r.g, r.h + _g_theta_f(r))),
+    "h g = 0": ("torus", lambda r: SDR(r.f, r.g, r.h + _g_theta_f(r))),
+    "f g f = f": ("torus", lambda r: SDR(r.f.scale(2), r.g, r.h)),
+    "g f g = g": ("torus", lambda r: SDR(r.f, r.g.scale(2), r.h)),
+}
+CORRUPTED_COMPLEXES = {"torus": FIXTURE_COMPLEXES["torus"],
+                       "simplex2": normalized_chains(standard_simplex(2))}
+
+
+@pytest.mark.parametrize("relation", list(CORRUPTIONS),
+                         ids=["fg", "gf", "hh", "fh", "hg", "fgf", "gfg"])
+def test_sdr_verify_locates_each_failed_identity(relation):
+    name, corrupt = CORRUPTIONS[relation]
+    sdr = corrupt(build_sdr(CORRUPTED_COMPLEXES[name]))
+    bad = sdr.verify()
+    assert relation in [b["relation"] for b in bad]
+    for b in bad:
+        d, element = b["degree"], b["element"]
+        assert element in {str(label) for cx in (sdr.total, sdr.retract)
+                           for label in cx.labels(d)}
+        assert b["expected"] != b["actual"]
+        assert b["detail"].startswith(f"degree {d}, {element}: expected ")
+
+
+def test_sdr_verify_names_degree_element_and_both_sides():
+    # doubling h breaks only g f = id + d h + h d: on edge a, g f a = -b + c
+    # while a + 2 (d h + h d) a = -a - 2b + 2c
+    sdr = build_sdr(FIXTURE_COMPLEXES["torus"])
+    assert SDR(sdr.f, sdr.g, sdr.h.scale(2)).verify() == [{
+        "relation": "g f = id_K + d h + h d",
+        "detail": "degree 1, a: expected -1 a -2 b +2 c, got -1 b +1 c",
+        "degree": 1, "element": "a",
+        "expected": [[-1, "a"], [-2, "b"], [2, "c"]], "actual": [[-1, "b"], [1, "c"]]}]
+
+
+def test_failed_sdr_construction_raises_relation_violation(monkeypatch):
+    real = homology_module._degree_data
+
+    def doubled_reps(c, x_transforms=("uinv",)):
+        data = real(c, x_transforms)
+        for info in data.values():
+            info["reps"] = info["reps"].scale(2)
+        return data
+
+    monkeypatch.setattr(homology_module, "_degree_data", doubled_reps)
+    with pytest.raises(RelationViolation) as err:
+        build_sdr(FIXTURE_COMPLEXES["torus"])
+    payload = err.value.payload()
+    assert payload["relation"] == "f g = id_L"
+    assert (payload["degree"], payload["element"]) == (0, "h0_0")
+    assert (payload["expected"], payload["actual"]) == ([[1, "h0_0"]], [[2, "h0_0"]])
+
+
+def test_gauge_twist_of_a_broken_sdr_raises_relation_violation():
+    sdr = build_sdr(FIXTURE_COMPLEXES["torus"])
+    broken = SDR(sdr.f, sdr.g, sdr.h.scale(2))
+    with pytest.raises(RelationViolation) as err:
+        sdr_variant(broken, {})
+    assert err.value.payload()["relation"] == "g f = id_K + d h + h d"
 
 
 # -- the retraction against the splitting-inverse oracle -----------------------

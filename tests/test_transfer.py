@@ -13,7 +13,7 @@ from structure_compare import compare_structures
 from transfer_oracle import transfer as oracle_transfer
 
 from einfty import invariants
-from einfty.chains import GradedOperator, plain_compose, pruned, transpose_swap
+from einfty.chains import GradedOperator, plain_compose, pruned, transpose_swap, violation
 from einfty.coalgebra import chain_structure
 from einfty.errors import ShapeMismatch, TorsionPresent
 from einfty.homology import build_sdr, sdr_variant
@@ -93,7 +93,7 @@ def test_defective_package_is_reported():
     assert bad_rel and any("f3_2" in b["relation"] for b in bad_rel)
 
 
-@pytest.mark.parametrize("name", ["m2_0", "m2_1", "m3_1", "f2_1", "f3_2"])
+@pytest.mark.parametrize("name", ["m2_0", "m2_1", "m3_1", "f1", "f2_1", "f3_2"])
 def test_missing_operator_is_reported(name):
     pkg = _package("torus")
     hat = {k: v for k, v in pkg.hat_ops.items() if k != name}
@@ -191,6 +191,49 @@ def test_failed_bracket_names_element_and_expansions():
     assert first["actual"] == [[1, "h0_0(x)h2_0"], [1, "h1_0(x)h1_0"], [-1, "h1_1(x)h1_0"]]
     assert first["detail"] == ("degree 2, U: expected +1 h1_0(x)h1_0 -1 h1_1(x)h1_0, "
                                "got +1 h0_0(x)h2_0 +1 h1_0(x)h1_0 -1 h1_1(x)h1_0")
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4), st.none() | st.integers(0, 2 ** 16))
+def test_transfer_reads_no_cup_above_m2_2(n, seed):
+    # the f2_3 step reads m2_2 and nothing above, so the hat operators built
+    # with m2_0..m2_2 equal those built with m2_3 and m2_4 as well
+    x = grid_torus(n) if seed is None else relabel(grid_torus(n), seed)
+    hats = []
+    for k in (2, 3, 4):
+        s = chain_structure(x, k)
+        hats.append({name: (op.arity, op.degree, op.cols)
+                     for name, op in transfer(s, build_sdr(s.complex)).hat_ops.items()})
+    assert hats[0] == hats[1] == hats[2]
+
+
+def test_f1_identity_is_located():
+    # F(f1) = 2f: the identity F(f1) = f fails first, at the vertex
+    pkg = _package("torus")
+    morph = {**pkg.morphism_ops, "f1": pkg.sdr.f.scale(2)}
+    bad = verify_relations(TransferPackage(pkg.source, pkg.sdr, pkg.hat_ops, morph))
+    assert bad[0] == {"relation": "F(f1) = f",
+                      "detail": "degree 0, v: expected +1 h0_0, got +2 h0_0",
+                      "degree": 0, "element": "v",
+                      "expected": [[1, "h0_0"]], "actual": [[2, "h0_0"]]}
+    payload = violation(bad[0]).payload()
+    assert (payload["error"], payload["relation"]) == ("RelationViolation", "F(f1) = f")
+    assert (payload["degree"], payload["element"]) == (0, "v")
+
+
+def test_hat_m2_2_symmetry_is_located():
+    # h0_0 -> h1_0 (x) h1_1 has swap -h1_1 (x) h1_0; on H, d = 0, so only the
+    # symmetry of hat m2_2 reads the extra term
+    pkg = _package("torus")
+    h, m22 = pkg.homology, pkg.hat_ops["m2_2"]
+    extra = GradedOperator._adopt(h, h, 2, 2, {0: {0: {((1, 0), (1, 1)): 1}}})
+    hat = {**pkg.hat_ops, "m2_2": m22 + extra}
+    bad = verify_relations(TransferPackage(pkg.source, pkg.sdr, hat, pkg.morphism_ops))
+    assert bad == [{"relation": "hat m2_2 = (-1)^2 sigma hat m2_2",
+                    "detail": "degree 0, h0_0: expected -1 h1_1(x)h1_0, got +1 h1_0(x)h1_1",
+                    "degree": 0, "element": "h0_0",
+                    "expected": [[-1, "h1_1(x)h1_0"]], "actual": [[1, "h1_0(x)h1_1"]]}]
+    assert violation(bad[0]).payload()["actual"] == [[1, "h1_0(x)h1_1"]]
 
 
 @st.composite

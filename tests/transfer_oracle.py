@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from einfty import invariants
 from einfty.chains import (GradedOperator, compose_slot, plain_compose, tensor_compose,
-                           transpose_swap)
-from einfty.coalgebra import CoalgebraStructure, violation
+                           transpose_swap, violation)
+from einfty.coalgebra import CoalgebraStructure
 from einfty.errors import ShapeMismatch
 from einfty.homology import SDR
 from einfty.transfer import TransferPackage, verify_relations
