@@ -26,13 +26,14 @@ built from such matrices (Smith output); no solver reads them back, and
 ``GradedOperator.blocks`` serves the tests and the benchmark's counters.
 
 An exact identity of operators is a (relation, got, want) triple, and
-``failures`` is the one check that locates every failed one.
+``failures`` is the one check that locates every failed one, as the
+``errors.located`` record that ``violation`` raises.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import RelationViolation
+from .errors import located, violation
 from .intlinalg import IntMatrix
 
 TensorKey = tuple[tuple[int, int], ...]
@@ -478,8 +479,8 @@ def expansion(op: GradedOperator, d: int, idx: int) -> list[list]:
 
 
 def mismatch(relation: str, got: GradedOperator, want: GradedOperator) -> dict:
-    """A failed identity ``got == want``, named at the first source degree
-    and basis element where the two differ, with both images.
+    """A failed identity ``got == want``, ``located`` at the first source
+    degree and basis element where the two differ, with both images.
 
     Meant for the failure path only: it walks the images until they differ.
     """
@@ -487,15 +488,8 @@ def mismatch(relation: str, got: GradedOperator, want: GradedOperator) -> dict:
         have, need = got.cols.get(d, {}), want.cols.get(d, {})
         for idx in sorted(set(have) | set(need)):
             if have.get(idx) != need.get(idx):
-                element = str(got.source.labels(d)[idx])
-                expected, actual = expansion(want, d, idx), expansion(got, d, idx)
-                spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0"
-                         for terms in (expected, actual)]
-                return {"relation": relation,
-                        "detail": f"degree {d}, {element}: expected {spell[0]}, "
-                                  f"got {spell[1]}",
-                        "degree": d, "element": element,
-                        "expected": expected, "actual": actual}
+                return located(relation, d, str(got.source.labels(d)[idx]),
+                               expansion(want, d, idx), expansion(got, d, idx))
     return {"relation": relation, "detail": "operators differ in shape"}
 
 
@@ -503,9 +497,3 @@ def failures(checks) -> list[dict]:
     """One ``mismatch`` per (relation, got, want) triple of ``checks`` whose
     two sides differ, in order; empty when every identity holds."""
     return [mismatch(relation, got, want) for relation, got, want in checks if got != want]
-
-
-def violation(entry: dict) -> RelationViolation:
-    """The error for a failed-relation entry of ``verify``-style reports."""
-    fields = {k: v for k, v in entry.items() if k not in ("relation", "detail")}
-    return RelationViolation(entry["relation"], entry.get("detail", ""), fields)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BadFlag, EinftyError, FileAccessError, RelationViolation
+from .errors import BadFlag, EinftyError, FileAccessError
 
 
 def _resolve_input(arg: str) -> Path:
@@ -128,15 +128,15 @@ def cmd_transfer(args) -> dict:
 
 def cmd_cobar(args) -> dict:
     from .coalgebra import chain_structure, reduce_structure
-    from .cobar import build_cobar, check_d_squared_cobar, describe_failure, gr_h0_ranks
+    from .chains import violation
+    from .cobar import build_cobar, check_d_squared_cobar, gr_h0_ranks
     x = _load_sset(_resolve_input(args.input))
     s = chain_structure(x, 0)  # the cobar differential reads m2_0 only
     red = reduce_structure(s)
     t = build_cobar(red, args.max_len)
-    bad = [r for r in check_d_squared_cobar(t) if not r["ok"]]
+    bad = check_d_squared_cobar(t)
     if bad:
-        fields = {k: v for k, v in bad[0].items() if k != "ok"}
-        raise RelationViolation("cobar D o D = 0", describe_failure(bad[0]), fields)
+        raise violation(bad[0])
     return {
         "max_len": args.max_len,
         "graded_pieces": gr_h0_ranks(t),
@@ -168,7 +168,7 @@ def cmd_selfcheck(args) -> dict:
 
     from .chains import bracket_d, compose_slot, transpose_swap
     from .coalgebra import chain_structure, reduce_structure
-    from .cobar import build_cobar, check_d_squared_cobar, describe_failure
+    from .cobar import build_cobar, check_d_squared_cobar
     from .formats import SSET_FIXTURES, fixture_path, load_structure_fixture
     from .homology import build_sdr, homology, sdr_variant
     from .intlinalg import IntMatrix
@@ -212,9 +212,8 @@ def cmd_selfcheck(args) -> dict:
             record(f"{name}: transfer relations", True)
         if s.complex.rank(0) == 1:
             t = build_cobar(reduce_structure(s), args.max_len)
-            bad = [r for r in check_d_squared_cobar(t) if not r["ok"]]
-            record(f"{name}: cobar D o D = 0", not bad,
-                   describe_failure(bad[0]) if bad else "")
+            bad = check_d_squared_cobar(t)
+            record(f"{name}: cobar D o D = 0", not bad, bad[0]["detail"] if bad else "")
 
     # invariance of the classes under a seeded gauge twist of the retraction
     x = _load_sset(fixture_path("torus"))

@@ -63,15 +63,15 @@ integers:
   column against D of its letter), and that no degree-0 word has a D.  By
   induction on length, the blocks the ranks read are then D itself.
 
-A failure names the letter or word (in simplex labels) and its defect: the
-D^2 expansion of the letter, or the audited column minus the expected one.
+A failure is an ``errors.located`` record that names the letter or word
+(in simplex labels) and its degree, with its expected and actual images.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 
 from .coalgebra import CoalgebraStructure
-from .errors import MultipleVertices, NotReduced
+from .errors import MultipleVertices, NotReduced, located
 from .intlinalg import IntMatrix, kernel_basis, quotient_invariants
 
 Letter = tuple[int, int]  # (shifted degree, index within that layer)
@@ -369,18 +369,13 @@ def word_label(t: TruncatedCobar, degree: int, length: int, index: int) -> str:
     return _spell(t.structure, t.word(degree, length, index))
 
 
-def describe_failure(entry: dict) -> str:
-    """One line naming a failing check entry's word and its defect."""
-    terms = " ".join(f"{v:+d} {w}" for v, w in entry["expansion"])
-    return f"{entry['component']} on {entry['source']}: {entry['word']} -> {terms}"
-
-
 _COMPONENTS = ("keep.keep", "keep.up + up.keep", "up.up")  # D^2 raising length by 0, 1, 2
 
 
 def _letter_check(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
-    """D^2 = 0 on every letter, untruncated: one entry per letter degree and
-    component, naming the first letter where that component is nonzero."""
+    """D^2 = 0 on every letter, untruncated: per letter degree and
+    component, the first letter where that component is nonzero, with the
+    component as its actual expansion."""
     report = []
     for degree in sorted(set(letters.degs)):
         bad: list[tuple[int, list] | None] = [None] * len(_COMPONENTS)
@@ -395,23 +390,21 @@ def _letter_check(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
                 terms = sorted((w, v) for w, v in square.items() if v and len(w) == 1 + rise)
                 if terms and bad[rise] is None:
                     bad[rise] = (x, terms)
-        for rise, component in enumerate(_COMPONENTS):
-            entry = {"source": f"degree {degree}, length 1",
-                     "component": f"letter {component}", "ok": bad[rise] is None}
-            if bad[rise] is not None:
-                x, terms = bad[rise]
+        for component, found in zip(_COMPONENTS, bad):
+            if found is not None:
+                x, terms = found
                 alphabet = letters.alphabet
-                entry.update(length=1, word=_spell(t.structure, [alphabet[x]]),
-                             expansion=[[v, _spell(t.structure, [alphabet[k] for k in w])]
-                                        for w, v in terms])
-            report.append(entry)
+                report.append(located(
+                    f"cobar D o D = 0: letter {component}", degree,
+                    _spell(t.structure, [alphabet[x]]), [],
+                    [[v, _spell(t.structure, [alphabet[k] for k in w])] for w, v in terms]))
     return report
 
 
 def _audit(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
-    """The Leibniz audit: one entry per block the ranks read, and one per
-    stored degree-0 block, naming the first column that differs from the one
-    its rest's stored column and D of its first letter give."""
+    """The Leibniz audit: per block the ranks read, and per stored degree-0
+    block, the first column that differs from the one its rest's stored
+    column and D of its first letter give."""
     count = {key: len(codes) for key, codes in t.words.items()}
     report = []
     for name, table, rise in (("keep", t.d_keep, 0), ("up", t.d_up, 1)):
@@ -422,21 +415,18 @@ def _audit(t: TruncatedCobar, letters: _LetterD) -> list[dict]:
             actual = block.cols if block is not None else []
             # D of a degree-0 word is zero: it has no target words
             expected = _columns(letters, count, table, rise, length) if degree == 1 else []
-            entry = {"source": f"degree {degree}, length {length}",
-                     "component": f"Leibniz {name}", "ok": True}
             for j in range(max(len(actual), len(expected))):
                 got = actual[j] if j < len(actual) else {}
                 want = expected[j] if j < len(expected) else {}
                 if got != want:
-                    defect = {r: got.get(r, 0) - want.get(r, 0) for r in {*got, *want}}
                     target = (degree - 1, length + rise)
-                    entry.update(ok=False, length=length, word=word_label(t, degree, length, j),
-                                 **{key: [[v, word_label(t, *target, r)]
-                                          for r, v in sorted(col.items()) if v]
-                                    for key, col in (("expansion", defect), ("expected", want),
-                                                     ("actual", got))})
+                    want_terms, got_terms = ([[v, word_label(t, *target, r)]
+                                              for r, v in sorted(col.items()) if v]
+                                             for col in (want, got))
+                    report.append(located(f"cobar D o D = 0: Leibniz {name}", degree,
+                                          word_label(t, degree, length, j),
+                                          want_terms, got_terms))
                     break
-            report.append(entry)
     return report
 
 
@@ -444,10 +434,10 @@ def check_d_squared_cobar(t: TruncatedCobar) -> list[dict]:
     """D o D = 0, exactly: the letter check and the Leibniz audit (see the
     module docstring for why the two together prove it on every word).
 
-    A failing entry also names the failing letter or word (``word``, in
-    simplex labels), its length and the nonzero terms of its defect
-    (``expansion``, [coefficient, word] pairs); a failing audit entry adds
-    the ``expected`` and ``actual`` columns the same way.
+    The result holds the ``located`` failures only, empty when D o D = 0.
+    A letter's record expects 0 and shows the failing component of its D^2;
+    an audited word's record expects the column that its rest and its first
+    letter give, and shows the stored one.
     """
     letters = _LetterD(t.structure)
     return _letter_check(t, letters) + _audit(t, letters)

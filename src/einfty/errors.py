@@ -1,65 +1,77 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one record of a
+failed check.
 
 Every error that can surface through the CLI names the violated
-precondition so failures stay machine readable.
+precondition so failures stay machine readable.  A check that compares an
+expansion with the one it should have reports the first failure as a
+``located`` record, and ``violation`` raises it.
 """
 from __future__ import annotations
 
 
 class EinftyError(Exception):
-    """Base class; ``payload`` feeds the CLI error report."""
+    """Base class; ``payload`` feeds the CLI error report.
+
+    A subclass declares ``fields``, the names its payload writes after the
+    error's name and message, in that order; the values are those it passes
+    to this ``__init__``, which stores them as attributes.  A field it does
+    not pass is left out: a ``RelationViolation`` whose record names its
+    relation alone writes no location.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **values):
+        super().__init__(message)
+        vars(self).update(values)
 
     def payload(self) -> dict:
-        return {"error": type(self).__name__, "message": str(self)}
+        out = {"error": type(self).__name__, "message": str(self)}
+        out.update((name, vars(self)[name]) for name in self.fields if name in vars(self))
+        return out
 
 
 class SSetParseError(EinftyError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(message + where)
+    fields = ("line",)
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out["line"] = self.line
-        return out
+    def __init__(self, message: str, line: int | None = None):
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(message + where, line=line)
 
 
 class SSetValidationError(EinftyError):
-    def __init__(self, violations: list[dict]):
-        self.violations = violations
-        super().__init__(f"{len(violations)} simplicial-set violation(s)")
+    fields = ("violations",)
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out["violations"] = self.violations
-        return out
+    def __init__(self, violations: list[dict]):
+        super().__init__(f"{len(violations)} simplicial-set violation(s)",
+                         violations=violations)
+
+
+class CoalgParseError(EinftyError):
+    """A malformed ``.coalg`` file; ``field`` names the offending key."""
+
+    fields = ("field",)
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message, field=field)
 
 
 class TorsionPresent(EinftyError):
+    fields = ("degree", "coefficient")
+
     def __init__(self, degree: int, coefficient: int):
-        self.degree = degree
-        self.coefficient = coefficient
         super().__init__(
             f"homology has torsion Z/{coefficient} in degree {degree}; "
-            "no retraction onto free homology exists"
-        )
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out.update(degree=self.degree, coefficient=self.coefficient)
-        return out
+            "no retraction onto free homology exists",
+            degree=degree, coefficient=coefficient)
 
 
 class MultipleVertices(EinftyError):
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"operation requires a single-vertex model, found {count} vertices")
+    fields = ("count",)
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out["count"] = self.count
-        return out
+    def __init__(self, count: int):
+        super().__init__(f"operation requires a single-vertex model, found {count} vertices",
+                         count=count)
 
 
 class NotReduced(EinftyError):
@@ -71,49 +83,34 @@ class NotReduced(EinftyError):
 
 
 class RelationViolation(EinftyError):
-    """``fields`` locate the failure (for instance the failing word) in the
-    payload, next to the relation's name."""
+    """A failed identity: its relation, then where it fails (the fields of a
+    ``located`` record, when the check located it)."""
 
-    def __init__(self, relation: str, detail: str = "", fields: dict | None = None):
-        self.relation = relation
-        self.fields = dict(fields or {})
+    fields = ("relation", "degree", "element", "expected", "actual")
+
+    def __init__(self, relation: str, detail: str = "", **location):
         msg = f"structure relation violated: {relation}"
         if detail:
             msg += f" ({detail})"
-        super().__init__(msg)
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["relation"] = self.relation
-        out.update(self.fields)
-        return out
+        super().__init__(msg, relation=relation, **location)
 
 
 class NotNormalizable(EinftyError):
+    fields = ("generator",)
+
     def __init__(self, generator: str):
-        self.generator = generator
         super().__init__(
             f"triple-coproduct image of {generator} lies outside the "
-            "bracket lattice; class is not defined"
-        )
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["generator"] = self.generator
-        return out
+            "bracket lattice; class is not defined",
+            generator=generator)
 
 
 class BadFlag(EinftyError):
-    def __init__(self, flag: str, value: int, minimum: int, reason: str):
-        self.flag = flag
-        self.value = value
-        self.minimum = minimum
-        super().__init__(f"{flag} {value} is below {minimum}: {reason}")
+    fields = ("flag", "value", "minimum")
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out.update(flag=self.flag, value=self.value, minimum=self.minimum)
-        return out
+    def __init__(self, flag: str, value: int, minimum: int, reason: str):
+        super().__init__(f"{flag} {value} is below {minimum}: {reason}",
+                         flag=flag, value=value, minimum=minimum)
 
 
 class GroupMismatch(EinftyError):
@@ -126,19 +123,32 @@ class ShapeMismatch(EinftyError):
 
 class OutsideFragment(EinftyError):
     def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"generator {name} has no tabulated differential")
+        super().__init__(f"generator {name} has no tabulated differential", name=name)
 
 
 class FileAccessError(EinftyError):
     """An input that cannot be read as UTF-8 text, or a report that cannot
     be written; ``path`` names the file."""
 
-    def __init__(self, path, reason: str):
-        self.path = str(path)
-        super().__init__(f"{self.path}: {reason}")
+    fields = ("path",)
 
-    def payload(self) -> dict:
-        out = super().payload()
-        out["path"] = self.path
-        return out
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}", path=str(path))
+
+
+def located(relation: str, degree: int, element: str, expected: list[list],
+            actual: list[list]) -> dict:
+    """The record of a failed check: ``relation`` fails at basis element
+    ``element`` of ``degree``, whose image should expand as ``expected`` and
+    expands as ``actual`` ([coefficient, word] pairs).  ``detail`` spells
+    the same in one line."""
+    spell = [" ".join(f"{v:+d} {w}" for v, w in terms) or "0" for terms in (expected, actual)]
+    return {"relation": relation,
+            "detail": f"degree {degree}, {element}: expected {spell[0]}, got {spell[1]}",
+            "degree": degree, "element": element, "expected": expected, "actual": actual}
+
+
+def violation(entry: dict) -> RelationViolation:
+    """The error for a failed-check record: a ``located`` one, or one that
+    names its relation alone."""
+    return RelationViolation(**entry)

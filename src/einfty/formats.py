@@ -24,7 +24,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import EinftyError, FileAccessError, RelationViolation
+from .errors import CoalgParseError, EinftyError, FileAccessError, violation
 from .intlinalg import IntMatrix
 
 SSET_FIXTURES = ("point", "circle", "wedge2", "wedge3", "sphere", "torus", "rp2")
@@ -47,19 +47,6 @@ def fixture_path(name: str) -> Path:
 
 def list_fixtures() -> list[str]:
     return sorted(SSET_FIXTURES) + sorted(COALG_FIXTURES)
-
-
-class CoalgParseError(EinftyError):
-    """A malformed ``.coalg`` file; ``field`` names the offending key."""
-
-    def __init__(self, message: str, field: str | None = None):
-        self.field = field
-        super().__init__(message)
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["field"] = self.field
-        return out
 
 
 def read_text(path: str | Path) -> str:
@@ -93,7 +80,7 @@ def load_structure_fixture(path: str | Path):
     window = InvariantWindow(m, r, comul, sq, triple)
     bad = window.validate()
     if bad:
-        raise RelationViolation(bad[0])
+        raise violation(bad[0])
     return window
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .errors import GroupMismatch, NotNormalizable, RelationViolation, ShapeMismatch
+from .errors import GroupMismatch, NotNormalizable, ShapeMismatch, located, violation
 from .intlinalg import (IntMatrix, SmithForm, column_span_saturation, column_vector,
                         smith, solve)
 
@@ -191,19 +191,30 @@ class InvariantWindow:
         self.sq = sq            # m^2 x m, symmetric columns
         self.triple = triple    # m^3 x r
 
-    def asymmetry(self, name: str) -> str | None:
-        """Block ``comul`` (antisymmetric) or ``sq`` (symmetric), each nonzero
-        entry against its swapped entry: the first failing column, named,
-        or None."""
-        sign, kind = (-1, "antisymmetric") if name == "comul" else (1, "symmetric")
-        mat = getattr(self, name)
-        cols = [col for (ij, col), v in mat.data.items()
-                if mat[_swapped(self.h1_rank, ij), col] != sign * v]
-        return f"{name} column {min(cols)} is not {kind}" if cols else None
+    def asymmetry(self, name: str) -> dict | None:
+        """Block ``comul`` (antisymmetric: hat m2_0 = sigma hat m2_0) or
+        ``sq`` (symmetric: hat m2_1 = -sigma hat m2_1), each nonzero entry
+        against its swapped entry: the first failing column, ``located``
+        with the signed swap of the column as expected, or None.  Generator
+        i is spelled ``#i``."""
+        relation, degree, sign = (("hat m2_0 = sigma hat m2_0", 2, -1) if name == "comul"
+                                  else ("hat m2_1 = -sigma hat m2_1", 1, 1))
+        m, mat = self.h1_rank, getattr(self, name)
+        col = min((c for (ij, c), v in mat.data.items() if mat[_swapped(m, ij), c] != sign * v),
+                  default=None)
+        if col is None:
+            return None
+        entries = {ij: v for (ij, c), v in mat.data.items() if c == col}
+        swapped = {_swapped(m, ij): sign * v for ij, v in entries.items()}
 
-    def validate(self) -> list[str]:
+        def terms(image: dict[int, int]) -> list[list]:
+            return [[v, "#{}(x)#{}".format(*divmod(ij, m))] for ij, v in sorted(image.items())]
+
+        return located(relation, degree, f"#{col}", terms(swapped), terms(entries))
+
+    def validate(self) -> list[dict]:
         """``asymmetry`` of both blocks, the failing ones only."""
-        return [msg for msg in map(self.asymmetry, ("comul", "sq")) if msg]
+        return [bad for bad in map(self.asymmetry, ("comul", "sq")) if bad]
 
 
 def window_from_package(pkg) -> InvariantWindow:
@@ -250,7 +261,7 @@ def sq_dual_invariant(w: InvariantWindow) -> InvariantClass:
     m = w.h1_rank
     bad = w.asymmetry("sq")
     if bad:
-        raise RelationViolation("hat m2_1 = -sigma hat m2_1", bad)
+        raise violation(bad)
     slots = _sym_slots(m)
     nsym = len(slots)
     rep = [0] * (m * nsym)
@@ -348,7 +359,7 @@ def massey_invariant(w: InvariantWindow) -> InvariantClass:
     m, r = w.h1_rank, w.h2_rank
     bad = w.asymmetry("comul")
     if bad:
-        raise RelationViolation("hat m2_0 = sigma hat m2_0", bad)
+        raise violation(bad)
     lie = lie_lattice(m)
     coords = lie.degree3_smith.solve(w.triple)
     if coords is None:

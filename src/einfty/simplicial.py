@@ -241,6 +241,7 @@ def parse_sset(text: str) -> SimplicialSet:
     """Parse the simplicial-set text format; rejects any trailing garbage."""
     simplices: dict[int, list[str]] = {}
     faces: dict[str, tuple[FaceRef, ...]] = {}
+    seen: set[str] = set()
     current_dim: int | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,8 +274,9 @@ def parse_sset(text: str) -> SimplicialSet:
             raise SSetParseError(
                 f"{name} has {len(tokens)} faces, a {current_dim}-simplex needs "
                 f"{current_dim + 1}", line_no)
-        if name in faces or any(name in lst for lst in simplices.values()):
+        if name in seen:
             raise SSetParseError(f"duplicate simplex name {name!r}", line_no)
+        seen.add(name)
         simplices[current_dim].append(name)
         if current_dim > 0:
             faces[name] = tuple(_parse_face(t, line_no) for t in tokens)

@@ -134,7 +134,7 @@ def test_criterion_5_cobar_graded_ranks():
         t0 = time.time()
         red = reduce_structure(chain_structure(FIXTURES[name], 3))
         t = build_cobar(red, n)
-        assert all(r["ok"] for r in check_d_squared_cobar(t)), name
+        assert check_d_squared_cobar(t) == [], name
         got = gr_h0_ranks(t)
         assert [p["rank"] for p in got] == ranks, (name, got)
         assert all(p["torsion"] == [] for p in got), name

@@ -14,7 +14,7 @@ from einfty.chains import GradedOperator
 from einfty.cobar import (ColumnBlock, TruncatedCobar, build_cobar, check_d_squared_cobar,
                           gr_h0_ranks)
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
-from einfty.errors import MultipleVertices, NotReduced
+from einfty.errors import MultipleVertices, NotReduced, located
 from einfty.formats import SSET_FIXTURES, fixture_path
 from einfty.simplicial import (circle, parse_sset, point, projective_plane, sphere, torus,
                                wedge_of_circles)
@@ -109,7 +109,7 @@ def test_rp2_torsion_honesty():
                                    lambda: wedge_of_circles(2)])
 def test_d_squared_zero_on_safe_range(model):
     t = _cobar(model(), 4)
-    assert all(r["ok"] for r in check_d_squared_cobar(t))
+    assert check_d_squared_cobar(t) == []
 
 
 def test_word_length_filtration():
@@ -154,6 +154,7 @@ def test_unreduced_single_vertex_names_the_reduction():
 
 
 def _fails(report) -> bool:
+    """Whether a report of the reference check holds a failing entry."""
     return any(not r["ok"] for r in report)
 
 
@@ -187,9 +188,9 @@ def test_flipped_shift_sign_breaks_d_squared():
         return _with_block(c, "up", (1, 2), ColumnBlock(
             block.nrows, [{r: -v for r, v in col.items()} for col in block.cols]))
 
-    bad = [r for r in check_d_squared_cobar(flipped(t)) if not r["ok"]]
-    assert (bad[0]["source"], bad[0]["component"]) == ("degree 1, length 2", "Leibniz up")
-    assert bad[0]["word"] == cobar.word_label(t, 1, 2, 0)
+    bad = check_d_squared_cobar(flipped(t))
+    assert (bad[0]["relation"], bad[0]["degree"]) == ("cobar D o D = 0: Leibniz up", 1)
+    assert bad[0]["element"] == cobar.word_label(t, 1, 2, 0)
     assert _fails(oracle.check_d_squared_cobar(flipped(ref)))
 
 
@@ -209,13 +210,11 @@ def _assert_audit_names(table, pick):
             return [[v, cobar.word_label(t, 0, length + rise, r)]
                     for r, v in sorted(column.items())]
 
-        bad = [r for r in check_d_squared_cobar(tampered) if not r["ok"]]
+        bad = check_d_squared_cobar(tampered)
         clean = block.cols[col]
-        assert bad[0] == {
-            "source": f"degree 1, length {length}", "component": f"Leibniz {table}",
-            "ok": False, "length": length, "word": cobar.word_label(t, 1, length, col),
-            "expansion": [[-2 * clean[row], cobar.word_label(t, 0, length + rise, row)]],
-            "expected": terms(clean), "actual": terms({**clean, row: -clean[row]})}
+        assert bad[0] == located(f"cobar D o D = 0: Leibniz {table}", 1,
+                                 cobar.word_label(t, 1, length, col),
+                                 terms(clean), terms({**clean, row: -clean[row]}))
         # the reference's full D o D over every degree-2 word, on its own
         # store negated the same way, agrees from length 2 on; no degree-2
         # word has length 1 on a 2-dimensional input, so it cannot see a
@@ -244,12 +243,10 @@ def test_degree_zero_block_is_named():
     cols = [{} for _ in range(t.word_count(0, 1))]
     cols[1], cols[2] = {0: 1}, {0: -2}
     block = ColumnBlock(1, cols)
-    report = check_d_squared_cobar(_with_block(t, "up", (0, 1), block))
-    entry = next(r for r in report if not r["ok"])
-    assert (entry["source"], entry["component"]) == ("degree 0, length 1", "Leibniz up")
-    assert entry["word"] == cobar.word_label(t, 0, 1, 1)
-    assert [v for v, _ in entry["expansion"]] == [1]
-    assert entry["expected"] == [] and entry["actual"] == entry["expansion"]
+    (entry,) = check_d_squared_cobar(_with_block(t, "up", (0, 1), block))
+    assert (entry["relation"], entry["degree"]) == ("cobar D o D = 0: Leibniz up", 0)
+    assert entry["element"] == cobar.word_label(t, 0, 1, 1)
+    assert entry["expected"] == [] and [v for v, _ in entry["actual"]] == [1]
     assert _fails(oracle.check_d_squared_cobar(_with_block(ref, "up", (0, 1), block)))
 
 
@@ -259,7 +256,7 @@ def test_negated_diagonal_entry_fails_the_letter_check():
     red = reduce_structure(chain_structure(one_vertex_simplex(3), 2))
     clean = build_cobar(red, 3)
     assert _ranks(clean) == [1, 3, 9]
-    assert not _fails(check_d_squared_cobar(clean))
+    assert check_d_squared_cobar(clean) == []
     assert not _fails(oracle.check_d_squared_cobar(oracle.build_cobar(red, 3)))
     m2 = red.op("m2_0")
     col = m2.cols[3][0]
@@ -269,12 +266,10 @@ def test_negated_diagonal_entry_fails_the_letter_check():
     bad = CoalgebraStructure(red.complex, ops, reduced=True, max_k=red.max_k, check=False)
     # D on the stored degree-1 words does not read the 3-simplex, so only
     # the letter check fails
-    assert [r for r in check_d_squared_cobar(build_cobar(bad, 3)) if not r["ok"]] == [
-        {"source": "degree 2, length 1", "component": "letter keep.up + up.keep", "ok": False,
-         "length": 1, "word": "0123",
-         "expansion": [[-2, "01(x)12"], [2, "01(x)13"], [-2, "01(x)23"]]},
-        {"source": "degree 2, length 1", "component": "letter up.up", "ok": False,
-         "length": 1, "word": "0123", "expansion": [[-2, "01(x)12(x)23"]]}]
+    assert check_d_squared_cobar(build_cobar(bad, 3)) == [
+        located("cobar D o D = 0: letter keep.up + up.keep", 2, "0123", [],
+                [[-2, "01(x)12"], [2, "01(x)13"], [-2, "01(x)23"]]),
+        located("cobar D o D = 0: letter up.up", 2, "0123", [], [[-2, "01(x)12(x)23"]])]
     want = [r for r in oracle.check_d_squared_cobar(oracle.build_cobar(bad, 3)) if not r["ok"]]
     assert (want[0]["source"], want[0]["component"]) == ("degree 2, length 1", "keep.up + up.keep")
 
@@ -298,7 +293,7 @@ def _assert_matches_oracle(x, max_len):
         for key, block in table.items():
             assert block == ref[key]
     assert gr_h0_ranks(t) == gr_h0_ranks(want)
-    assert _fails(check_d_squared_cobar(t)) == _fails(oracle.check_d_squared_cobar(want))
+    assert bool(check_d_squared_cobar(t)) == _fails(oracle.check_d_squared_cobar(want))
 
 
 def _model(name):
@@ -341,16 +336,15 @@ def test_failing_cobar_exits_with_relation_violation(monkeypatch):
     assert code == 1
     error = json.loads(err)["error"]
     assert error["error"] == "RelationViolation"
-    assert error["relation"] == "cobar D o D = 0"
     # on the torus fixture the negated entry is the coefficient of a in
-    # D(U) = -a - b + c, the first column of the first stored block
-    assert (error["source"], error["component"], error["length"]) == (
-        "degree 1, length 1", "Leibniz keep", 1)
-    assert error["word"] == "U"
-    assert error["expected"] == [[-1, "a"], [-1, "b"], [1, "c"]]
-    assert error["actual"] == [[1, "a"], [-1, "b"], [1, "c"]]
-    assert error["expansion"] == [[2, "a"]]
-    assert "Leibniz keep on degree 1, length 1: U -> +2 a" in error["message"]
+    # D(U) = -a - b + c, the first column of the first stored block; the
+    # payload has the fields of every located failure, in their order
+    assert list(error.items())[2:] == [
+        ("relation", "cobar D o D = 0: Leibniz keep"), ("degree", 1), ("element", "U"),
+        ("expected", [[-1, "a"], [-1, "b"], [1, "c"]]),
+        ("actual", [[1, "a"], [-1, "b"], [1, "c"]])]
+    assert error["message"] == ("structure relation violated: cobar D o D = 0: Leibniz keep "
+                                "(degree 1, U: expected -1 a -1 b +1 c, got +1 a -1 b +1 c)")
 
 
 def test_failing_cobar_in_selfcheck_has_detail(monkeypatch):
@@ -359,4 +353,4 @@ def test_failing_cobar_in_selfcheck_has_detail(monkeypatch):
     checks = {c["check"]: c for c in json.loads(out)["results"]["checks"]}
     entry = checks["torus: cobar D o D = 0"]
     assert not entry["ok"]
-    assert entry["detail"] == "Leibniz keep on degree 1, length 1: U -> +2 a"
+    assert entry["detail"] == "degree 1, U: expected -1 a -1 b +1 c, got +1 a -1 b +1 c"

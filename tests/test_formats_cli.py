@@ -14,6 +14,8 @@ from einfty.cli import build_parser, main
 from einfty.errors import RelationViolation
 from einfty.formats import (CoalgParseError, fixture_path, list_fixtures,
                             load_structure_fixture)
+from einfty.intlinalg import IntMatrix
+from einfty.invariants import InvariantWindow, massey_invariant
 from einfty.simplicial import parse_sset, torus
 
 
@@ -89,6 +91,17 @@ def test_coalg_rejects_noncocommutative(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(RelationViolation):
         load_structure_fixture(p)
+    # the command exits with the failure that the Massey class raises on
+    # the same window in-process
+    _, err = run_cli("invariant", str(p), expect=1)
+    window = InvariantWindow(3, 2, *(IntMatrix.from_columns(data[key], nrows=3 ** arity)
+                                     for key, arity in (("comul", 2), ("sq", 2), ("triple", 3))))
+    with pytest.raises(RelationViolation) as raised:
+        massey_invariant(window)
+    error = json.loads(err)["error"]
+    assert error == raised.value.payload()
+    assert (error["relation"], error["degree"], error["element"]) == (
+        "hat m2_0 = sigma hat m2_0", 2, "#0")
 
 
 def test_cli_homology():
@@ -188,7 +201,7 @@ def test_module_run_matches_in_process_main(tmp_path, monkeypatch, argv, out, co
 
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "einfty.cli", "homology", "circle"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["homology"]["1"]["rank"] == 1
 

@@ -131,13 +131,20 @@ def test_window_symmetry_validation():
     skew = IntMatrix(9, 3)
     skew[0 * 3 + 1, 0] = 1  # not symmetric
     w = InvariantWindow(3, 2, IntMatrix(9, 2), skew, IntMatrix(27, 2))
-    with pytest.raises(RelationViolation):
+    with pytest.raises(RelationViolation) as err:
         sq_dual_invariant(w)
+    assert list(err.value.payload().items())[2:] == [
+        ("relation", "hat m2_1 = -sigma hat m2_1"), ("degree", 1), ("element", "#0"),
+        ("expected", [[1, "#1(x)#0"]]), ("actual", [[1, "#0(x)#1"]])]
     badc = IntMatrix(9, 2)
     badc[0 * 3 + 1, 0] = 1  # not antisymmetric
     w2 = InvariantWindow(3, 2, badc, IntMatrix(9, 3), IntMatrix(27, 2))
-    with pytest.raises(RelationViolation):
+    with pytest.raises(RelationViolation) as err:
         massey_invariant(w2)
+    assert list(err.value.payload().items())[2:] == [
+        ("relation", "hat m2_0 = sigma hat m2_0"), ("degree", 2), ("element", "#0"),
+        ("expected", [[-1, "#1(x)#0"]]), ("actual", [[1, "#0(x)#1"]])]
+    assert w2.validate() == [w2.asymmetry("comul")] and w.validate() == [w.asymmetry("sq")]
 
 
 def test_sq_zero_and_boundary_classes():

@@ -29,17 +29,51 @@ def test_round_trip_all_models():
         assert parse_sset(serialize(model)) == model
 
 
+# (text, a fragment of the message, the line it names): every parse branch
+PARSE_ERRORS = [
+    ("dim 0\nv []\n", "expected 'name: [faces]' or 'dim N', got 'v []'", 2),
+    ("v: []\n", "simplex entry before any 'dim N' header", 1),
+    ("dim 0\nv!: []\n", "bad simplex name 'v!'", 2),
+    ("dim 0\nv: [] trailing\n", "faces of v must be a [...] list", 2),
+    ("dim 0\nv: [w]\n", "vertex v must have an empty face list", 2),
+    ("dim 1\na: [v]\n", "a has 1 faces, a 1-simplex needs 2", 2),
+    ("dim 0\nv: []\ndim 1\na: [v, s_0 s_1(v)]\n",
+     "degeneracy word [0, 1] not strictly decreasing", 4),
+    ("dim 0\nv: []\ndim 1\na: [v, s_0(v]\n", "unbalanced parentheses", 4),
+    ("dim 0\nv: []\ndim 1\na: [v, s_0)v(]\n", "unbalanced parentheses", 4),
+    ("dim 0\nv: []\ndim 1\na: [v, s_0(v) x]\n", "cannot parse face 's_0(v) x'", 4),
+    ("dim 0\nv: []\ndim 0\nv: []\n", "duplicate simplex name 'v'", 4),
+    ("dim 0\nv: []\nw: []\ndim 1\na: [v, w]\nw: [v, v]\n", "duplicate simplex name 'w'", 6),
+]
+
+
 def test_parser_rejects_garbage():
-    with pytest.raises(SSetParseError):
-        parse_sset("dim 0\nv: [] trailing\n")
-    with pytest.raises(SSetParseError):
-        parse_sset("v: []\n")  # entry before any dim header
-    with pytest.raises(SSetParseError):
-        parse_sset("dim 1\na: [v]\n")  # wrong face count
-    with pytest.raises(SSetParseError):
-        parse_sset("dim 0\nv: []\ndim 1\na: [v, s_0 s_1(v)]\n")  # word not decreasing
-    with pytest.raises(SSetParseError):
-        parse_sset("dim 0\nv: []\ndim 0\nv: []\n")  # duplicate name
+    for text, fragment, line in PARSE_ERRORS:
+        with pytest.raises(SSetParseError) as exc:
+            parse_sset(text)
+        assert exc.value.payload() == {"error": "SSetParseError",
+                                       "message": f"{fragment} (line {line})", "line": line}
+
+
+@pytest.mark.parametrize("build,violations", [
+    (lambda: SimplicialSet({0: ["v"]}, {"v": (FaceRef((), "w"),)}),
+     [{"kind": "vertex-with-faces", "simplex": "v"}]),
+    (lambda: SimplicialSet({0: ["v"], 1: ["a"]}, {"a": (FaceRef((), "v"),)}),
+     [{"kind": "face-count", "simplex": "a", "expected": 2, "got": 1}]),
+    (lambda: SimplicialSet({0: ["v"], 1: ["a"]}, {}),
+     [{"kind": "face-count", "simplex": "a", "expected": 2, "got": 0}]),
+    (lambda: parse_sset("dim 0\nv: []\ndim 1\na: [v, s_0(v)]\n"),
+     [{"kind": "face-dimension", "simplex": "a", "face": 1, "target": "v",
+       "expected_dim": 0, "got_dim": 1},
+      {"kind": "degeneracy-index", "simplex": "a", "face": 1, "word": [0]}]),
+    (lambda: parse_sset("dim 0\nv: []\ndim 1\na: [v, v]\ndim 2\nT: [a, s_1(v), a]\n"),
+     [{"kind": "degeneracy-index", "simplex": "T", "face": 1, "word": [1]}]),
+], ids=["vertex-with-faces", "face-count", "no-faces", "face-dimension", "degeneracy-index"])
+def test_validation_violation_names_its_fields(build, violations):
+    with pytest.raises(SSetValidationError) as exc:
+        build()
+    assert exc.value.violations == violations
+    assert exc.value.payload()["message"] == f"{len(violations)} simplicial-set violation(s)"
 
 
 def test_dangling_face_reported():

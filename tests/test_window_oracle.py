@@ -1,5 +1,6 @@
 """The sparse window layer of ``einfty.invariants`` against the dense
 reference code in ``window_oracle.py`` and ``massey_oracle.py``."""
+import re
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from models import fan_surface, grid_torus, identity_sdr, nu_columns, relabel
 
 from einfty.chains import ChainComplex, GradedOperator, pruned
 from einfty.coalgebra import chain_structure
-from einfty.errors import EinftyError
+from einfty.errors import EinftyError, RelationViolation
 from einfty.homology import build_sdr
 from einfty.intlinalg import IntMatrix, column_span_saturation
 from einfty.invariants import (lie_lattice, massey_invariant, perturb, sq_dual_invariant,
@@ -105,9 +106,40 @@ def packages(draw):
     return TransferPackage(None, identity_sdr(h), hat, {})
 
 
+# the relation each block's symmetry check names, and the sign of the swap
+SYMMETRY = {"comul": ("hat m2_0 = sigma hat m2_0", -1), "sq": ("hat m2_1 = -sigma hat m2_1", 1)}
+
+
+def _oracle_failure(message: str) -> tuple[str, str]:
+    """The reference's "comul column 0 is not antisymmetric" as the relation
+    and element of a located record."""
+    block, col = re.search(r"(comul|sq) column (\d+)", message).groups()
+    return SYMMETRY[block][0], f"#{col}"
+
+
+def _assert_located(w, record):
+    # the record's actual image is the failing column, its expected image
+    # the column swapped and signed, independently of the reference
+    block = "comul" if record["degree"] == 2 else "sq"
+    m, sign = w.h1_rank, SYMMETRY[block][1]
+    vec = getattr(w, block).column(int(record["element"][1:]))
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    assert record["actual"] == [[vec[i * m + j], f"#{i}(x)#{j}"] for i, j in pairs
+                                if vec[i * m + j]]
+    assert record["expected"] == [[sign * vec[j * m + i], f"#{i}(x)#{j}"] for i, j in pairs
+                                  if vec[j * m + i]]
+
+
 def _same_class(got_fn, want_fn, w):
     try:
         want = want_fn(w)
+    except RelationViolation as exc:
+        with pytest.raises(RelationViolation) as info:
+            got_fn(w)
+        got = info.value.payload()
+        assert (got["relation"], got["element"]) == _oracle_failure(str(exc))
+        _assert_located(w, got)
+        return
     except EinftyError as exc:
         with pytest.raises(type(exc)) as info:
             got_fn(w)
@@ -131,7 +163,11 @@ def test_window_layer_matches_oracle(pkg, data):
     w = window_from_package(pkg)
     want = oracle.window_from_package(pkg)
     assert (w.comul, w.sq, w.triple) == (want.comul, want.sq, want.triple)
-    assert w.validate() == oracle.validate(w)
+    bad = w.validate()
+    assert [(r["relation"], r["element"]) for r in bad] == list(map(_oracle_failure,
+                                                                    oracle.validate(w)))
+    for record in bad:
+        _assert_located(w, record)
     _same_class(sq_dual_invariant, oracle.sq_dual_invariant, w)
     _same_class(massey_invariant, oracle_massey_invariant, w)
     m, r = w.h1_rank, w.h2_rank
