@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from . import __version__
 from .errors import BadFlag, EinftyError, FileAccessError
 
 
-def _resolve_input(arg: str) -> Path:
+def _resolve_input(arg: str):
+    """The file ``arg`` names, else the bundled fixture (``formats.fixture_path``)."""
     from .formats import COALG_FIXTURES, SSET_FIXTURES, fixture_path, list_fixtures
     p = Path(arg)
     if p.exists():
@@ -31,7 +32,7 @@ def _resolve_input(arg: str) -> Path:
                       f"(bundled: {', '.join(list_fixtures())})")
 
 
-def _load_sset(path: Path):
+def _load_sset(path):
     from .formats import read_text
     from .simplicial import parse_sset
     return parse_sset(read_text(path))
@@ -58,8 +59,8 @@ def _class_report(cls) -> dict:
     }
 
 
-def _window_for(path: Path):
-    if path.suffix == ".coalg":
+def _window_for(path):
+    if PurePath(path.name).suffix == ".coalg":
         from .formats import load_structure_fixture
         return load_structure_fixture(path)
     from .coalgebra import chain_structure

@@ -31,28 +31,30 @@ SSET_FIXTURES = ("point", "circle", "wedge2", "wedge3", "sphere", "torus", "rp2"
 COALG_FIXTURES = ("borromean", "zero")
 
 
-def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled fixture, by bare name or file name."""
+def fixture_path(name: str):
+    """A bundled fixture, by bare name or file name, as the
+    ``importlib.resources`` traversable that ``read_text`` reads: a file in a
+    checkout or an install, a member when the package is imported from a zip."""
     base = name
     if name in SSET_FIXTURES:
         base = f"{name}.sset"
     elif name in COALG_FIXTURES:
         base = f"{name}.coalg"
     ref = resources.files("einfty") / "fixtures" / base
-    with resources.as_file(ref) as p:
-        if not p.exists():
-            raise EinftyError(f"no bundled fixture named {name!r}")
-        return Path(p)
+    if not ref.is_file():
+        raise EinftyError(f"no bundled fixture named {name!r}")
+    return ref
 
 
 def list_fixtures() -> list[str]:
     return sorted(SSET_FIXTURES) + sorted(COALG_FIXTURES)
 
 
-def read_text(path: str | Path) -> str:
-    """The text of an input file, which must be UTF-8."""
+def read_text(path) -> str:
+    """The text of an input file, a filesystem path or a bundled fixture's
+    traversable, which must be UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FileAccessError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except OSError as exc:

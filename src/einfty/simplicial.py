@@ -331,46 +331,9 @@ def normalized_chains(x: SimplicialSet) -> ChainComplex:
     return ChainComplex(basis, boundary)
 
 
-# -- bundled models ----------------------------------------------------------
-
-def point() -> SimplicialSet:
-    return SimplicialSet({0: ["v"]}, {})
-
-
-def circle() -> SimplicialSet:
-    return SimplicialSet({0: ["v"], 1: ["a"]},
-                         {"a": (FaceRef((), "v"), FaceRef((), "v"))})
-
-
-def wedge_of_circles(n: int) -> SimplicialSet:
-    names = [f"a{i + 1}" for i in range(n)]
-    faces = {name: (FaceRef((), "v"), FaceRef((), "v")) for name in names}
-    return SimplicialSet({0: ["v"], 1: names}, faces)
-
-
-def sphere() -> SimplicialSet:
-    """S^2 with one vertex and one 2-simplex, all faces degenerate."""
-    sv = FaceRef((0,), "v")
-    return SimplicialSet({0: ["v"], 2: ["T"]}, {"T": (sv, sv, sv)})
-
-
-def torus() -> SimplicialSet:
-    """One vertex, three loops, two triangles (the minimal torus)."""
-    v = FaceRef((), "v")
-    loops = {"a": (v, v), "b": (v, v), "c": (v, v)}
-    faces = dict(loops)
-    faces["U"] = (FaceRef((), "b"), FaceRef((), "c"), FaceRef((), "a"))
-    faces["L"] = (FaceRef((), "a"), FaceRef((), "c"), FaceRef((), "b"))
-    return SimplicialSet({0: ["v"], 1: ["a", "b", "c"], 2: ["U", "L"]}, faces)
-
-
-def projective_plane() -> SimplicialSet:
-    """RP^2 on three cells; the middle face of the 2-cell is degenerate."""
-    return SimplicialSet(
-        {0: ["v"], 1: ["e"], 2: ["f"]},
-        {"e": (FaceRef((), "v"), FaceRef((), "v")),
-         "f": (FaceRef((), "e"), FaceRef((0,), "v"), FaceRef((), "e"))})
-
+# -- models ------------------------------------------------------------------
+# The bundled models are the .sset files under einfty/fixtures, read through
+# formats.fixture_path; Delta^n is the one model built here, for every n.
 
 def standard_simplex(n: int) -> SimplicialSet:
     """Delta^n with subsets of {0..n} as simplex names.

@@ -1,13 +1,23 @@
-"""Shared by the tests: simplicial models (grid tori, one-vertex simplices,
-seeded relabellings) and small helpers that the package itself never calls."""
+"""Shared by the tests: simplicial models (the bundled fixtures, grid tori,
+one-vertex simplices, seeded relabellings) and small helpers that the package
+itself never calls."""
 import random
 from math import gcd
 
 from einfty.chains import ChainComplex, GradedOperator, identity_operator, unit_complex
+from einfty.formats import SSET_FIXTURES, fixture_path, read_text
 from einfty.homology import SDR
 from einfty.intlinalg import IntMatrix, column_vector, solve
 from einfty.operads import generator, tree_degree
-from einfty.simplicial import FaceRef, SimplicialSet, standard_simplex
+from einfty.simplicial import FaceRef, SimplicialSet, parse_sset, standard_simplex
+
+
+def fixture(name: str) -> SimplicialSet:
+    """A bundled ``.sset`` model, parsed from its fixture file."""
+    return parse_sset(read_text(fixture_path(name)))
+
+
+FIXTURES = {name: fixture(name) for name in SSET_FIXTURES}
 
 
 def grid_torus(n: int) -> SimplicialSet:

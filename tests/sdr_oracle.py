@@ -79,7 +79,7 @@ def build_sdr(c: ChainComplex) -> SDR:
     report = HomologyReport(
         {d: i["free_rank"] for d, i in data.items() if i["free_rank"]},
         {}, {d: i["reps"] for d, i in data.items()})
-    h_cx = homology_complex(c, report)
+    h_cx = homology_complex(report)
 
     f_blocks: dict[int, IntMatrix] = {}
     g_blocks: dict[int, IntMatrix] = {}

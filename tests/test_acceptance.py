@@ -9,7 +9,7 @@ import random
 import time
 from itertools import product
 
-from models import element_arity, element_degree, nu_columns, total_rank
+from models import FIXTURES, element_arity, element_degree, nu_columns, total_rank
 
 from einfty.chains import bracket_d, compose_slot, identity_operator, tensor_compose, transpose_swap
 from einfty.cobar import build_cobar, check_d_squared_cobar, gr_h0_ranks
@@ -22,16 +22,9 @@ from einfty.invariants import (class_equals, lie_lattice, massey_invariant,
                                perturb, sq_dual_invariant, window_from_package)
 from einfty.operads import (check_d_squared, compose_i, differential, el_add,
                             el_scale, generator, single)
-from einfty.simplicial import (circle, normalized_chains, point,
-                               projective_plane, sphere, torus,
-                               wedge_of_circles)
+from einfty.simplicial import normalized_chains
 from einfty.transfer import transfer, verify_relations
 
-FIXTURES = {
-    "point": point(), "circle": circle(), "wedge2": wedge_of_circles(2),
-    "wedge3": wedge_of_circles(3), "sphere": sphere(), "torus": torus(),
-    "rp2": projective_plane(),
-}
 TORSION_FREE = ["point", "circle", "wedge2", "wedge3", "sphere", "torus"]
 
 

@@ -7,7 +7,7 @@ import operator_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from models import grid_torus, tensor_complex
+from models import fixture, grid_torus, tensor_complex
 
 from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
                            boundary_operator, compose_slot, identity_operator,
@@ -16,11 +16,10 @@ from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
 from einfty.coalgebra import chain_structure, cup_table, reduce_structure
 from einfty.homology import homology
 from einfty.intlinalg import IntMatrix
-from einfty.simplicial import (circle, normalized_chains, point, standard_simplex,
-                               torus, wedge_of_circles)
+from einfty.simplicial import normalized_chains, standard_simplex
 
-MODELS = {"torus": torus, "delta3": lambda: standard_simplex(3),
-          "wedge3": lambda: wedge_of_circles(3)}
+MODELS = {"torus": lambda: fixture("torus"), "delta3": lambda: standard_simplex(3),
+          "wedge3": lambda: fixture("wedge3")}
 
 
 @lru_cache(maxsize=None)
@@ -121,17 +120,17 @@ def test_grid_torus_structure_verifies():
 
 
 def test_tensor_complex_examples():
-    c = normalized_chains(circle())
+    c = normalized_chains(fixture("circle"))
     sq = tensor_complex(c, 2)
     assert [sq.rank(d) for d in (0, 1, 2)] == [1, 2, 1]
     assert not sq.boundary  # circle differential is zero
-    p3 = tensor_complex(normalized_chains(point()), 3)
+    p3 = tensor_complex(normalized_chains(fixture("point")), 3)
     assert p3.rank(0) == 1 and p3.degrees() == [0]
     assert tensor_complex(c, 1) is c
 
 
 def test_tensor_complex_squares_boundary():
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     for n in (2, 3):
         tc = tensor_complex(c, n)
         tc.validate()  # includes d o d = 0
@@ -160,7 +159,7 @@ def _random_operator(rng, src, dst, arity, degree):
 
 
 def test_compose_identity_is_neutral():
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     rng = random.Random(0)
     b = _random_operator(rng, c, c, 2, 1)
     ident = identity_operator(c)
@@ -171,7 +170,7 @@ def test_compose_identity_is_neutral():
 
 def test_koszul_sign_past_odd_factor():
     # a degree-1 slot operator substituted in slot 2 passes the first factor
-    c = normalized_chains(circle())
+    c = normalized_chains(fixture("circle"))
     rng = random.Random(1)
     a = _random_operator(rng, c, c, 1, 1)
     b = _random_operator(rng, c, c, 2, 0)
@@ -195,7 +194,7 @@ def test_koszul_sign_past_odd_factor():
 
 def test_interchange_sign_for_two_substitutions():
     # descending substitution has no sign; ascending picks up (-1)^{|a1||a2|}
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     rng = random.Random(2)
     for _ in range(10):
         deg1, deg2 = rng.choice([(1, 1), (1, 2), (2, 1), (0, 1)])
@@ -211,7 +210,7 @@ def test_interchange_sign_for_two_substitutions():
 
 
 def test_nested_composition_associativity():
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     rng = random.Random(3)
     for _ in range(8):
         a = _random_operator(rng, c, c, 1, rng.choice([0, 1]))
@@ -223,7 +222,7 @@ def test_nested_composition_associativity():
 
 
 def test_sigma_twist_is_action_and_involution():
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     rng = random.Random(4)
     f = _random_operator(rng, c, c, 2, 1)
     assert sigma_twist((0, 1), f) == f
@@ -236,14 +235,14 @@ def test_sigma_twist_is_action_and_involution():
 
 
 def test_bracket_of_chain_map_vanishes():
-    c = normalized_chains(torus())
+    c = normalized_chains(fixture("torus"))
     assert bracket_d(identity_operator(c)).is_zero()
     d = boundary_operator(c)
     assert bracket_d(d).is_zero()  # [d, d] = 2 d^2 = 0 in odd degree
 
 
 def test_counit_style_arity_zero_slot():
-    c = normalized_chains(circle())
+    c = normalized_chains(fixture("circle"))
     u = unit_complex()
     p = GradedOperator(c, u, 0, 0, {0: IntMatrix.from_rows([[1]])})
     delta_blocks = {}
@@ -328,5 +327,5 @@ def test_structure_and_reduction_rank_no_words(monkeypatch):
             return real(self, *args)
         monkeypatch.setattr(ChainComplex, method, counted)
     chain_structure(grid_torus(3), 3)
-    reduce_structure(chain_structure(torus(), 3))
+    reduce_structure(chain_structure(fixture("torus"), 3))
     assert calls == []

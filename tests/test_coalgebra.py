@@ -4,7 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from models import front_back_faces, index_of
+from models import FIXTURES, fixture, front_back_faces, index_of
 
 from einfty.chains import (bracket_d, compose_slot, identity_operator,
                            tensor_compose, transpose_swap)
@@ -14,15 +14,7 @@ from einfty.coalgebra import (CoalgebraStructure, aw_diagonal, chain_structure,
                               operator_dump, reduce_structure)
 from einfty.errors import MultipleVertices, RelationViolation
 from einfty.operads import generator_differential
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, normalized_chains,
-                               point, projective_plane, sphere, standard_simplex,
-                               torus, wedge_of_circles)
-
-FIXTURES = {
-    "point": point(), "circle": circle(), "wedge2": wedge_of_circles(2),
-    "wedge3": wedge_of_circles(3), "sphere": sphere(), "torus": torus(),
-    "rp2": projective_plane(),
-}
+from einfty.simplicial import FaceRef, SimplicialSet, normalized_chains, standard_simplex
 
 
 def test_counit_values():
@@ -51,7 +43,7 @@ def test_aw_values_on_standard_simplices():
 
 
 def test_aw_matches_front_back_faces():
-    x = torus()
+    x = fixture("torus")
     c = normalized_chains(x)
     aw = aw_diagonal(x, c)
     for d in c.degrees():
@@ -72,14 +64,14 @@ def test_cup_one_on_interval():
     assert cup_table(1, 0) == ()
     table = cup_table(1, 1)
     assert table == ((-1, (0, 1), (0, 1)),)
-    x = circle()
+    x = fixture("circle")
     op = cup_k_coproduct(x, 1)
     img = op.image_of(1, 0)
     assert img == [(-1, ((1, 0), (1, 0)))]
 
 
 def test_cup_k_vanishes_below_dimension_k():
-    s = chain_structure(torus(), 3)
+    s = chain_structure(fixture("torus"), 3)
     c = s.complex
     for k in (1, 2, 3):
         op = s.op(f"m2_{k}")
@@ -110,7 +102,7 @@ def test_chain_map_coassoc_counit(name):
 
 
 def test_structure_verifier_catches_defects():
-    s = chain_structure(torus(), 2)
+    s = chain_structure(fixture("torus"), 2)
     broken = dict(s.ops)
     bad = s.op("m2_1")
     block = bad.block(1).copy()
@@ -124,7 +116,7 @@ def test_structure_verifier_catches_defects():
 def test_structure_verifier_names_the_failing_element():
     # the same defect: the first failing relation is named at its source
     # degree and cell, with the required and the actual [d, m2_1] image
-    s = chain_structure(torus(), 2)
+    s = chain_structure(fixture("torus"), 2)
     broken = dict(s.ops)
     bad = s.op("m2_1")
     block = bad.block(1).copy()
@@ -146,7 +138,7 @@ def test_structure_verifier_names_the_failing_element():
 
 def test_counit_identities_are_located():
     # a doubled counit keeps [d, p] = 0 but breaks both counit identities at v
-    s = chain_structure(torus(), 2)
+    s = chain_structure(fixture("torus"), 2)
     broken = {**s.ops, "p": s.op("p").scale(2)}
     bad = CoalgebraStructure(s.complex, broken, max_k=2, check=False).verify()
     assert bad == [{"relation": f"{side} m2_0 = id",
@@ -162,7 +154,7 @@ def test_counit_identities_are_located():
 
 
 def test_point_structure():
-    s = chain_structure(point(), 3)
+    s = chain_structure(fixture("point"), 3)
     dump = operator_dump(s)
     assert dump["m2_0"] == {"v": "v(x)v"}
     for k in (1, 2, 3):
@@ -170,12 +162,12 @@ def test_point_structure():
 
 
 def test_reduce_examples():
-    s = chain_structure(circle(), 2)
+    s = chain_structure(fixture("circle"), 2)
     red = reduce_structure(s)
     assert red.op("m2_0").is_zero()  # both halves hit the vertex
-    w = chain_structure(wedge_of_circles(2), 2)
+    w = chain_structure(fixture("wedge2"), 2)
     assert reduce_structure(w).op("m2_0").is_zero()
-    t = chain_structure(torus(), 2)
+    t = chain_structure(fixture("torus"), 2)
     rt = reduce_structure(t)
     dump = operator_dump(rt)
     assert dump["m2_0"] == {"U": "a(x)b", "L": "b(x)a"}
@@ -191,7 +183,7 @@ def test_reduce_needs_single_vertex():
 
 
 def test_evaluate_bracket_matches_table():
-    s = chain_structure(torus(), 3)
+    s = chain_structure(fixture("torus"), 3)
     c = s.complex
     for name in ("m2_1", "m2_2", "m3_1"):
         from einfty.operads import generator
@@ -204,11 +196,11 @@ def test_evaluate_bracket_matches_table():
 def test_sphere_and_rp2_degenerate_faces_handled():
     # cup operators drop terms whose faces are degenerate; structure still
     # satisfies every relation (checked at construction)
-    s = chain_structure(sphere(), 3)
+    s = chain_structure(fixture("sphere"), 3)
     aw = s.op("m2_0")
     img = aw.image_of(2, 0)
     assert [(c, w) for c, w in img] == [(1, ((0, 0), (2, 0))), (1, ((2, 0), (0, 0)))]
-    chain_structure(projective_plane(), 3)
+    chain_structure(fixture("rp2"), 3)
 
 
 def test_coalgebra_on_a_ten_sphere(tmp_path):

@@ -7,7 +7,7 @@ import cobar_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from models import fan_surface, grid_torus, one_vertex_simplex, relabel
+from models import FIXTURES, fan_surface, fixture, grid_torus, one_vertex_simplex, relabel
 
 from einfty import cli, cobar
 from einfty.chains import GradedOperator
@@ -15,9 +15,7 @@ from einfty.cobar import (ColumnBlock, TruncatedCobar, build_cobar, check_d_squa
                           gr_h0_ranks)
 from einfty.coalgebra import CoalgebraStructure, chain_structure, reduce_structure
 from einfty.errors import MultipleVertices, NotReduced, located
-from einfty.formats import SSET_FIXTURES, fixture_path
-from einfty.simplicial import (circle, parse_sset, point, projective_plane, sphere, torus,
-                               wedge_of_circles)
+from einfty.formats import SSET_FIXTURES
 
 
 def _cobar(x, n, max_k=2):
@@ -45,32 +43,32 @@ def test_cobar_reads_no_cup_coproduct(model, seed):
 
 
 def test_point_is_ground_ring():
-    t = _cobar(point(), 3)
+    t = _cobar(fixture("point"), 3)
     assert _ranks(t) == [1, 0, 0]
 
 
 def test_sphere_has_no_letters_in_degree_zero():
-    t = _cobar(sphere(), 3)
+    t = _cobar(fixture("sphere"), 3)
     assert _ranks(t) == [1, 0, 0]
 
 
 def test_free_group_oracles():
     # gr of the group ring of a free group on g letters is the free
     # associative algebra: rank g^l in word length l
-    for g, model in ((2, wedge_of_circles(2)), (3, wedge_of_circles(3))):
+    for g, model in ((2, fixture("wedge2")), (3, fixture("wedge3"))):
         t = _cobar(model, 4)
         assert _ranks(t) == [g ** l for l in range(4)]
         assert _torsion(t) == [[]] * 4
 
 
 def test_infinite_cyclic_oracle():
-    t = _cobar(circle(), 4)
+    t = _cobar(fixture("circle"), 4)
     assert _ranks(t) == [1, 1, 1, 1]
 
 
 def test_torus_oracle_commuting_letters():
     # gr of Z[Z^2]: polynomial ring on two commuting letters, rank l + 1
-    t = _cobar(torus(), 4)
+    t = _cobar(fixture("torus"), 4)
     assert _ranks(t) == [1, 2, 3, 4]
     assert _torsion(t) == [[]] * 4
 
@@ -94,26 +92,25 @@ def test_ranks_factor_only_the_completable_levels_they_read(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(cobar, "kernel_basis", counting)
-    assert _ranks(_cobar(torus(), 4)) == [1, 2, 3, 4]
+    assert _ranks(_cobar(fixture("torus"), 4)) == [1, 2, 3, 4]
     assert len(calls) == 2
 
 
 def test_rp2_torsion_honesty():
     # dimension completion of Z/2: each graded piece is 2-torsion
-    t = _cobar(projective_plane(), 4)
+    t = _cobar(fixture("rp2"), 4)
     assert _ranks(t) == [1, 0, 0, 0]
     assert _torsion(t) == [[], [2], [2], [2]]
 
 
-@pytest.mark.parametrize("model", [circle, torus, sphere, projective_plane,
-                                   lambda: wedge_of_circles(2)])
-def test_d_squared_zero_on_safe_range(model):
-    t = _cobar(model(), 4)
+@pytest.mark.parametrize("name", ["circle", "torus", "sphere", "rp2", "wedge2"])
+def test_d_squared_zero_on_safe_range(name):
+    t = _cobar(FIXTURES[name], 4)
     assert check_d_squared_cobar(t) == []
 
 
 def test_word_length_filtration():
-    t = _cobar(torus(), 4)
+    t = _cobar(fixture("torus"), 4)
     # length-preserving and length-raising blocks only
     for (deg, length) in t.d_keep:
         assert t.d_keep[(deg, length)].nrows == t.word_count(deg - 1, length)
@@ -124,7 +121,7 @@ def test_word_length_filtration():
 def test_ranks_do_not_depend_on_higher_cup_operators():
     # replace the degree-1 coproduct by garbage of the right shape; the
     # cobar differential never consults it
-    red = reduce_structure(chain_structure(torus(), 2))
+    red = reduce_structure(chain_structure(fixture("torus"), 2))
     ops = dict(red.ops)
     junk = ops["m2_2"]
     ops["m2_1"] = junk  # wrong operator on purpose (degree differs: rebuild)
@@ -137,7 +134,7 @@ def test_ranks_do_not_depend_on_higher_cup_operators():
 
 
 def test_requires_reduced_structure():
-    s = chain_structure(torus(), 1)
+    s = chain_structure(fixture("torus"), 1)
     with pytest.raises(MultipleVertices):
         build_cobar(chain_structure(grid_torus(3), 1), 3)
     with pytest.raises(ValueError):
@@ -148,7 +145,7 @@ def test_unreduced_single_vertex_names_the_reduction():
     # one vertex, but not reduced: the error names the missing step instead
     # of reporting "found 1 vertices"
     with pytest.raises(NotReduced, match="reduce_structure") as caught:
-        build_cobar(chain_structure(torus(), 1), 3)
+        build_cobar(chain_structure(fixture("torus"), 1), 3)
     assert "vertices" not in str(caught.value)
     assert caught.value.payload()["error"] == "NotReduced"
 
@@ -180,7 +177,7 @@ def test_flipped_shift_sign_breaks_d_squared():
     # derivation rule would, leaves a store that is not D: the audit names
     # the block's first column, and the reference's full D o D fails on its
     # own store negated the same way
-    red = reduce_structure(chain_structure(torus(), 2))
+    red = reduce_structure(chain_structure(fixture("torus"), 2))
     t, ref = build_cobar(red, 4), oracle.build_cobar(red, 4)
 
     def flipped(c):
@@ -197,7 +194,7 @@ def test_flipped_shift_sign_breaks_d_squared():
 def _assert_audit_names(table, pick):
     # negate one entry of each stored block in turn: the audit names the
     # block, the column's word and the expected and actual columns
-    red = reduce_structure(chain_structure(torus(), 2))
+    red = reduce_structure(chain_structure(fixture("torus"), 2))
     t, ref = build_cobar(red, 4), oracle.build_cobar(red, 4)
     rise = 0 if table == "keep" else 1
     blocks = t.d_keep if table == "keep" else t.d_up
@@ -238,7 +235,7 @@ def test_negated_up_entry_is_named(pick):
 def test_degree_zero_block_is_named():
     # degree-0 words are cycles; a hand-made block on them must fail, and
     # the entry names the first word it moves
-    red = reduce_structure(chain_structure(torus(), 2))
+    red = reduce_structure(chain_structure(fixture("torus"), 2))
     t, ref = build_cobar(red, 3), oracle.build_cobar(red, 3)
     cols = [{} for _ in range(t.word_count(0, 1))]
     cols[1], cols[2] = {0: 1}, {0: -2}
@@ -301,7 +298,7 @@ def _model(name):
         return fan_surface(2)
     if name == "delta3":
         return one_vertex_simplex(3)
-    return parse_sset(fixture_path(name).read_text())
+    return fixture(name)
 
 
 @pytest.mark.parametrize("name", SSET_FIXTURES + ("genus2", "delta3"))

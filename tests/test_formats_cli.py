@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,11 @@ import pytest
 import einfty
 from einfty.cli import build_parser, main
 from einfty.errors import RelationViolation
-from einfty.formats import (CoalgParseError, fixture_path, list_fixtures,
-                            load_structure_fixture)
+from einfty.formats import (SSET_FIXTURES, CoalgParseError, fixture_path, list_fixtures,
+                            load_structure_fixture, read_text)
 from einfty.intlinalg import IntMatrix
 from einfty.invariants import InvariantWindow, massey_invariant
-from einfty.simplicial import parse_sset, torus
+from einfty.simplicial import parse_sset
 
 
 def run_cli(*argv, expect=0):
@@ -28,11 +30,31 @@ def run_cli(*argv, expect=0):
 
 
 def test_bundled_fixture_roundtrip():
-    assert set(list_fixtures()) == {"point", "circle", "wedge2", "wedge3",
-                                    "sphere", "torus", "rp2", "borromean",
-                                    "zero"}
-    text = fixture_path("torus").read_text()
-    assert parse_sset(text) == torus()
+    # every bundled file is a listed fixture, and every listed name resolves to its file
+    files = sorted(ref.name for ref in (resources.files("einfty") / "fixtures").iterdir())
+    assert files == sorted(fixture_path(name).name for name in list_fixtures())
+    # every .sset model is valid with one vertex, so the golden gate runs cobar on each
+    for name in SSET_FIXTURES:
+        x = parse_sset(read_text(fixture_path(name)))
+        assert x.validate() == [] and len(x.names(0)) == 1, name
+
+
+@pytest.mark.parametrize("argv", [("homology", "torus"), ("invariant", "borromean"),
+                                  ("cobar", "rp2")], ids="-".join)
+def test_zipped_package_prints_the_golden_report(tmp_path, argv):
+    # a package imported from a zip reads its fixtures from inside the archive
+    package = Path(einfty.__file__).parent
+    archive = tmp_path / "einfty.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for p in sorted(package.rglob("*")):
+            if p.is_file() and "__pycache__" not in p.parts:
+                z.write(p, p.relative_to(package.parent).as_posix())
+    proc = subprocess.run([sys.executable, "-m", "einfty.cli", *argv], capture_output=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(archive)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "golden" / f"{'-'.join(argv)}.txt"
+    assert proc.stdout == golden.read_bytes()
 
 
 def test_load_structure_fixture():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from massey_oracle import delta_map as oracle_delta_map
 from massey_oracle import massey_group as oracle_massey_group
 from massey_oracle import normalizing_correction as oracle_correction
-from models import fan_surface, grid_torus, identity_sdr, relabel
+from models import fan_surface, fixture, grid_torus, identity_sdr, relabel
 
 from einfty import invariants
 from einfty.chains import ChainComplex, GradedOperator, pruned
@@ -17,7 +17,6 @@ from einfty.homology import build_sdr
 from einfty.intlinalg import IntMatrix
 from einfty.invariants import (delta_map, massey_group, massey_invariant, normalizing_shift,
                                perturb, window_from_package)
-from einfty.simplicial import torus
 from einfty.transfer import TransferPackage, transfer
 
 
@@ -97,7 +96,7 @@ def _corrections(x, monkeypatch):
 
 @pytest.mark.parametrize("n,seed", [(None, None), (2, 41), (3, 42), (4, 43)])
 def test_correction_matches_oracle_on_tori(n, seed, monkeypatch):
-    x = torus() if n is None else relabel(grid_torus(n), seed)
+    x = fixture("torus") if n is None else relabel(grid_torus(n), seed)
     got, want = _corrections(x, monkeypatch)
     assert want is not None
     assert got == want
@@ -107,7 +106,7 @@ def test_correction_matches_oracle_on_tori(n, seed, monkeypatch):
 def test_corrected_window_is_the_perturbed_window(n, seed, monkeypatch):
     # the correction, read off the corrected package, is ``perturb`` of the
     # window before it
-    pkg, w0, block, _ = _spied_transfer(torus() if n is None else relabel(grid_torus(n), seed),
+    pkg, w0, block, _ = _spied_transfer(fixture("torus") if n is None else relabel(grid_torus(n), seed),
                                         monkeypatch)
     assert block is not None
     got, want = window_from_package(pkg), perturb(w0, {2: block})

@@ -1,22 +1,21 @@
 """Simplicial sets: parsing, identities, faces, chains."""
 import pytest
-from models import front_back_faces, rank, serialize
+from models import FIXTURES, fixture, front_back_faces, rank, serialize
 
 from einfty.errors import SSetParseError, SSetValidationError
-from einfty.simplicial import (FaceRef, SimplicialSet, circle, normalized_chains,
-                               parse_sset, point, projective_plane, render_cell,
-                               sphere, standard_simplex, torus, wedge_of_circles)
+from einfty.simplicial import (FaceRef, SimplicialSet, normalized_chains, parse_sset,
+                               render_cell, standard_simplex)
 
 
 def test_parse_point_and_circle():
     x = parse_sset("dim 0\nv: []\n")
     assert x.names(0) == ["v"] and x.dimension == 0
     y = parse_sset("dim 0\nv: []\ndim 1\na: [v, v]\n")
-    assert y == circle()
+    assert y == fixture("circle")
 
 
 def test_parse_torus_model():
-    text = serialize(torus())
+    text = serialize(fixture("torus"))
     x = parse_sset(text)
     assert [len(x.names(d)) for d in (0, 1, 2)] == [1, 3, 2]
     # brute-force enumeration of the simplicial identities
@@ -24,8 +23,7 @@ def test_parse_torus_model():
 
 
 def test_round_trip_all_models():
-    for model in (point(), circle(), wedge_of_circles(3), sphere(), torus(),
-                  projective_plane(), standard_simplex(2)):
+    for model in (*FIXTURES.values(), standard_simplex(2)):
         assert parse_sset(serialize(model)) == model
 
 
@@ -99,14 +97,14 @@ def test_identity_violation_reported():
 
 
 def test_normalized_chains_examples():
-    assert normalized_chains(point()).degrees() == [0]
-    c = normalized_chains(circle())
+    assert normalized_chains(fixture("point")).degrees() == [0]
+    c = normalized_chains(fixture("circle"))
     assert c.boundary_matrix(1).is_zero()
-    t = normalized_chains(torus())
+    t = normalized_chains(fixture("torus"))
     assert rank(t.boundary_matrix(2)) == 1
     assert rank(t.boundary_matrix(1)) == 0
     t.validate()
-    rp = normalized_chains(projective_plane())
+    rp = normalized_chains(fixture("rp2"))
     assert rp.boundary_matrix(2).to_rows() == [[2]]
 
 
@@ -122,7 +120,7 @@ def test_front_back_faces_on_standard_simplex():
 
 
 def test_degeneracy_normal_form():
-    s = sphere()
+    s = fixture("sphere")
     cell = s.degeneracy(0, ((), "v"))
     assert cell == ((0,), "v")
     cell2 = s.degeneracy(1, cell)  # s_1 s_0 already decreasing
@@ -135,7 +133,7 @@ def test_degeneracy_normal_form():
 
 
 def test_degenerate_face_flagging():
-    rp = projective_plane()
+    rp = fixture("rp2")
     cells = [rp.face(i, ((), "f")) for i in range(3)]
     assert [render_cell(c) for c in cells] == ["e", "s_0(v)", "e"]
     assert cells[1][0] == (0,)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from models import fan_surface, grid_torus, in_column_span, relabel
+from models import FIXTURES, fan_surface, fixture, grid_torus, in_column_span, relabel
 from structure_compare import compare_structures
 from transfer_oracle import transfer as oracle_transfer
 
@@ -18,14 +18,10 @@ from einfty.coalgebra import chain_structure
 from einfty.errors import ShapeMismatch, TorsionPresent
 from einfty.homology import build_sdr, sdr_variant
 from einfty.intlinalg import IntMatrix
-from einfty.simplicial import (circle, point, projective_plane, sphere, standard_simplex,
-                               torus, wedge_of_circles)
+from einfty.simplicial import standard_simplex
 from einfty.transfer import TransferPackage, transfer, transfer_step, verify_relations
 
-FIXTURES = {
-    "point": point(), "circle": circle(), "wedge2": wedge_of_circles(2),
-    "wedge3": wedge_of_circles(3), "sphere": sphere(), "torus": torus(),
-}
+TORSION_FREE = [name for name in FIXTURES if name != "rp2"]
 
 
 def _package(name, max_k=3):
@@ -33,7 +29,7 @@ def _package(name, max_k=3):
     return transfer(s, build_sdr(s.complex))
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", sorted(TORSION_FREE))
 def test_verify_relations_empty(name):
     assert verify_relations(_package(name)) == []
 
@@ -241,7 +237,8 @@ def retracted_models(draw):
     """(structure, retraction) of a drawn model, relabelled or not, with a
     drawn gauge twist (theta entries in [-2, 2]) or none."""
     family, sizes = draw(st.sampled_from([(grid_torus, (2, 4)), (fan_surface, (1, 3)),
-                                          (wedge_of_circles, (1, 3)),
+                                          (lambda n: fixture(("circle", "wedge2", "wedge3")[n - 1]),
+                                           (1, 3)),
                                           (standard_simplex, (0, 4))]))
     x = family(draw(st.integers(*sizes)))
     seed = draw(st.none() | st.integers(0, 2 ** 16))
@@ -292,14 +289,14 @@ def _failure(run):
 
 @pytest.mark.parametrize("case", ["rp2", "foreign retraction"])
 def test_transfer_errors_match_oracle(case):
-    s = chain_structure(projective_plane() if case == "rp2" else torus(), 3)
-    other = s.complex if case == "rp2" else chain_structure(torus(), 3).complex
+    s = chain_structure(FIXTURES["rp2" if case == "rp2" else "torus"], 3)
+    other = s.complex if case == "rp2" else chain_structure(FIXTURES["torus"], 3).complex
     got = _failure(lambda: transfer(s, build_sdr(other)))
     assert got == _failure(lambda: oracle_transfer(s, build_sdr(other)))
     assert got[0] is (TorsionPresent if case == "rp2" else ShapeMismatch)
 
 
-CORRECTED = {"torus": torus, "grid3": lambda: relabel(grid_torus(3), 5),
+CORRECTED = {"torus": lambda: fixture("torus"), "grid3": lambda: relabel(grid_torus(3), 5),
              "genus2": lambda: fan_surface(2)}
 
 

@@ -8,7 +8,7 @@ import window_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from massey_oracle import massey_invariant as oracle_massey_invariant
-from models import fan_surface, grid_torus, identity_sdr, nu_columns, relabel
+from models import fan_surface, fixture, grid_torus, identity_sdr, nu_columns, relabel
 
 from einfty.chains import ChainComplex, GradedOperator, pruned
 from einfty.coalgebra import chain_structure
@@ -17,7 +17,6 @@ from einfty.homology import build_sdr
 from einfty.intlinalg import IntMatrix, column_span_saturation
 from einfty.invariants import (lie_lattice, massey_invariant, perturb, sq_dual_invariant,
                                sq_group, window_from_package)
-from einfty.simplicial import torus, wedge_of_circles
 from einfty.transfer import TransferPackage, transfer
 
 COEFF = st.integers(-2, 2)
@@ -36,7 +35,7 @@ def test_sq_group_matches_oracle(m):
     assert sq_group(m).relations == oracle.sq_group(m).relations
 
 
-@pytest.mark.parametrize("x", [torus(), wedge_of_circles(2), relabel(grid_torus(3), 7),
+@pytest.mark.parametrize("x", [fixture("torus"), fixture("wedge2"), relabel(grid_torus(3), 7),
                                fan_surface(2)], ids=["torus", "wedge2", "grid3", "genus2"])
 def test_window_from_package_matches_oracle_on_transfers(x):
     s = chain_structure(x, 3)
