@@ -18,6 +18,11 @@ differential is applied word by word to the nonzero entries only.  The
 columns hold no zeros and no empty column or degree, so equality of
 operators is plain dict equality.
 
+``tensor_compose`` is the one composition of operators: (op_1 (x) ...
+(x) op_n) o b, with ``compose_slot`` filling the other slots with
+identities.  An ordinary composition a o b is its one-slot case
+``tensor_compose([a], b)``.
+
 Rows appear only at the linear-algebra boundary.  The words of one total
 degree, ordered lexicographically, are the rows of the induced tensor
 basis; ``ChainComplex.word_row`` and ``row_word`` convert between the two
@@ -350,36 +355,38 @@ def bracket_d(f: GradedOperator) -> GradedOperator:
     return GradedOperator._adopt(f.source, f.target, f.arity, f.degree - 1, pruned(acc))
 
 
-def plain_compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """a o b where b has arity 1 (ordinary composition)."""
-    if b.arity != 1:
-        raise ValueError("plain_compose needs arity-1 inner operator")
-    if a.source is not b.target:
-        raise ValueError("source/target mismatch in composition")
-    acc: Columns = {}
-    for d, block in b.cols.items():
-        outer = a.cols.get(d + b.degree)
-        if not outer:
-            continue
-        dst = acc.setdefault(d, {})
-        for i, col in block.items():
-            out = dst.setdefault(i, {})
-            for ((_, j),), v in col.items():
-                for word, u in outer.get(j, {}).items():
-                    out[word] = out.get(word, 0) + u * v
-    return GradedOperator._adopt(b.source, a.target, a.arity, a.degree + b.degree,
-                                 pruned(acc))
+def _head_images(slots, head: TensorKey, odd_last: int) -> list[tuple[int, TensorKey]]:
+    """The images of the factors ``head`` under the first len(head) slots,
+    as (sign, word) pairs: each slot operator pays the Koszul sign of the
+    inputs before it, the last slot's included.  Empty when a factor of
+    ``head`` has no image."""
+    images = [(1, ())]
+    running = 0
+    for (cols, odd), (e, j) in zip(slots, head):
+        piece = cols.get(e, {}).get(j)
+        if not piece:
+            return []
+        flip = -1 if odd and running & 1 else 1
+        running += e
+        images = [(flip * s * v, w + frag) for s, w in images for frag, v in piece.items()]
+    if odd_last and running & 1:
+        images = [(-s, w) for s, w in images]
+    return images
 
 
 def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOperator:
     """(op_1 (x) ... (x) op_n) o b with the Koszul sign convention.
 
     All ops must share b.target as source and must share a common target
-    complex; arbitrary arities (including 0) are allowed per slot.
+    complex; arbitrary arities (including 0) are allowed per slot.  It is
+    the one composition of operators: ``tensor_compose([a], b)`` is a o b,
+    and with no slot to fill (b of arity 0) the result is b itself.
     """
     n = b.arity
     if len(ops) != n:
         raise ValueError(f"need {n} slot operators, got {len(ops)}")
+    if not ops:
+        return b
     for op in ops:
         if op.source is not b.target:
             raise ValueError("slot operator source must equal inner target")
@@ -391,50 +398,49 @@ def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOp
             elif op.target is not tgt:
                 raise ValueError("slot operators must share one target complex")
     if tgt is None:
-        # all slots have arity 0; any carrier works since the result is a
-        # functional into the ground ring
-        tgt = ops[0].target if ops else unit_complex()
+        # all slots have arity 0: a functional into the ground ring
+        tgt = ops[0].target
     out_arity = sum(op.arity for op in ops)
     out_degree = b.degree + sum(op.degree for op in ops)
     slots = [(op.cols, op.degree & 1) for op in ops]
+    last_cols, odd_last = slots[-1]
+    # the total degrees that words with a nonzero image in every slot can have
+    reach = {0}
+    for op in ops:
+        reach = {r + e for r in reach for e in op.cols}
+    # a word is its head (all factors but the last) and its last factor, whose
+    # images go straight into the column; heads recur across the words of b
+    # (with one slot every head is ()), so each head's images are found once
+    heads: dict[TensorKey, list[tuple[int, TensorKey]]] = {}
     acc: Columns = {}
     for d, block in b.cols.items():
+        if d + b.degree not in reach:
+            continue
         dst = acc.setdefault(d, {})
         for i, col in block.items():
             out = dst.setdefault(i, {})
             for word, coeff in col.items():
-                # moving op_j past the earlier inputs costs their degrees
-                sign = coeff
-                running = 0
-                pieces: list[Column] = []
-                for (cols, odd), (e, j) in zip(slots, word):
-                    if odd and running & 1:
-                        sign = -sign
-                    running += e
-                    piece = cols.get(e, {}).get(j)
-                    if not piece:
-                        break
-                    pieces.append(piece)
-                else:
-                    stack = [(sign, ())]
-                    for piece in pieces:
-                        stack = [(s * v, w + frag) for (s, w) in stack
-                                 for frag, v in piece.items()]
-                    for s, w in stack:
-                        out[w] = out.get(w, 0) + s
+                e, j = word[-1]
+                last = last_cols.get(e, {}).get(j)
+                if not last:
+                    continue
+                head = word[:-1]
+                images = heads.get(head)
+                if images is None:
+                    images = heads[head] = _head_images(slots, head, odd_last)
+                for sign, w in images:
+                    c = sign * coeff
+                    for frag, v in last.items():
+                        key = w + frag
+                        out[key] = out.get(key, 0) + c * v
     return GradedOperator._adopt(b.source, tgt, out_arity, out_degree, pruned(acc))
 
 
 def compose_slot(a: GradedOperator, b: GradedOperator, i: int) -> GradedOperator:
     """Substitute ``a`` into tensor slot ``i`` (1-based) of b's target."""
-    if not 1 <= i <= max(b.arity, 1):
+    if not 1 <= i <= b.arity:
         raise ValueError(f"slot {i} out of range for arity {b.arity}")
-    if b.arity == 1:
-        return plain_compose(a, b)
-    if a.target is not b.target and a.arity != 0:
-        raise ValueError("mixed-target slot substitution needs arity-1 inner operator")
-    ident = identity_operator(b.target)
-    ops = [ident] * b.arity
+    ops = [identity_operator(b.target)] * b.arity
     ops[i - 1] = a
     return tensor_compose(ops, b)
 

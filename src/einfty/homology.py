@@ -16,7 +16,7 @@ map on B, and all five side conditions hold on the nose:
 from __future__ import annotations
 
 from .chains import (ChainComplex, GradedOperator, boundary_operator, failures,
-                     identity_operator, plain_compose, violation)
+                     identity_operator, tensor_compose, violation)
 from .errors import TorsionPresent
 from .intlinalg import IntMatrix, smith
 
@@ -116,11 +116,11 @@ class SDR:
         ``chains.mismatch`` per failure (empty == valid SDR)."""
         k, l, f, g, h = self.total, self.retract, self.f, self.g, self.h
         dk = boundary_operator(k)
-        fg, hh, fh, hg = (plain_compose(a, b) for a, b in ((f, g), (h, h), (f, h), (h, g)))
+        fg, hh, fh, hg = (tensor_compose([a], b) for a, b in ((f, g), (h, h), (f, h), (h, g)))
         return failures([
             ("f g = id_L", fg, identity_operator(l)),
-            ("g f = id_K + d h + h d", plain_compose(g, f),
-             identity_operator(k) + plain_compose(dk, h) + plain_compose(h, dk)),
+            ("g f = id_K + d h + h d", tensor_compose([g], f),
+             identity_operator(k) + tensor_compose([dk], h) + tensor_compose([h], dk)),
             ("h h = 0", hh, hh.scale(0)),
             ("f h = 0", fh, fh.scale(0)),
             ("h g = 0", hg, hg.scale(0))])
@@ -182,9 +182,9 @@ def sdr_variant(sdr: SDR, theta_blocks: dict[int, IntMatrix]) -> SDR:
     """
     k, l = sdr.total, sdr.retract
     theta = GradedOperator(l, k, 1, 0, theta_blocks)
-    dh = plain_compose(boundary_operator(k), sdr.h)
-    g2 = sdr.g + plain_compose(dh, theta)
-    h2 = sdr.h + plain_compose(plain_compose(sdr.h, theta), sdr.f)
+    dh = tensor_compose([boundary_operator(k)], sdr.h)
+    g2 = sdr.g + tensor_compose([dh], theta)
+    h2 = sdr.h + tensor_compose([tensor_compose([sdr.h], theta)], sdr.f)
     out = SDR(sdr.f, g2, h2)
     bad = out.verify()
     if bad:

@@ -75,7 +75,13 @@ class Generator:
 
 
 _ALIASES = {"d2": "m2_0", "d3": "m3_1"}
-_NAME_RE = re.compile(r"^(m2_(\d+)|m3_(\d+)|f2_(\d+)|f3_(\d+)|d(\d+)|p|u|f0|f1)$")
+# name -> (arity, degree, kind): the four generators without an index
+_FIXED = {"p": (0, 0, "operad"), "u": (1, 0, "operad"),
+          "f0": (0, 0, "bimodule"), "f1": (1, 0, "bimodule")}
+# family -> (arity, least index, kind); the index of m2_k .. f3_k is its degree
+_FAMILIES = {"m2": (2, 0, "operad"), "m3": (3, 1, "operad"),
+             "f2": (2, 1, "bimodule"), "f3": (3, 2, "bimodule")}
+_NAME_RE = re.compile(r"(m2|m3|f2|f3)_(\d+)|d(\d+)")
 
 
 def resolve_name(name: str) -> str:
@@ -85,36 +91,16 @@ def resolve_name(name: str) -> str:
 @lru_cache(maxsize=None)
 def generator(name: str) -> Generator:
     name = resolve_name(name)
-    m = _NAME_RE.match(name)
-    if not m:
-        raise OutsideFragment(name)
-    if name == "p":
-        return Generator("p", 0, 0, "operad")
-    if name == "u":
-        return Generator("u", 1, 0, "operad")
-    if name == "f0":
-        return Generator("f0", 0, 0, "bimodule")
-    if name == "f1":
-        return Generator("f1", 1, 0, "bimodule")
-    head, k = name.split("_") if "_" in name else (name, "")
-    if head == "m2":
-        return Generator(name, 2, int(k), "operad")
-    if head == "m3":
-        if int(k) < 1:
-            raise OutsideFragment(name)
-        return Generator(name, 3, int(k), "operad")
-    if head == "f2":
-        if int(k) < 1:
-            raise OutsideFragment(name)
-        return Generator(name, 2, int(k), "bimodule")
-    if head == "f3":
-        if int(k) < 2:
-            raise OutsideFragment(name)
-        return Generator(name, 3, int(k), "bimodule")
-    n = int(name[1:])
-    if n < 4:
-        raise OutsideFragment(name)
-    return Generator(name, n, n - 2, "operad")
+    if name in _FIXED:
+        return Generator(name, *_FIXED[name])
+    m = _NAME_RE.fullmatch(name)
+    if m and m[1]:
+        arity, least, kind = _FAMILIES[m[1]]
+        if (k := int(m[2])) >= least:
+            return Generator(name, arity, k, kind)
+    elif m and (n := int(m[3])) >= 4:
+        return Generator(name, n, n - 2, "operad")
+    raise OutsideFragment(name)
 
 
 # -- trees --------------------------------------------------------------------

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .chains import (ChainComplex, GradedOperator, failures, plain_compose, transpose_swap,
-                     violation, zero_operator)
+from .chains import (ChainComplex, GradedOperator, failures, tensor_compose,
+                     transpose_swap, violation, zero_operator)
 from .coalgebra import CoalgebraStructure, bracket_checks, evaluate
 from .errors import ShapeMismatch
 from .homology import SDR
@@ -73,7 +73,7 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
         # the f3_2 step re-closes the arity-3 part, and the triple window
         # moves into the bracket lattice (``invariants.perturb``).
         nu = GradedOperator._adopt(pkg.homology, pkg.homology, 2, 1, {2: block})
-        morph["f2_1"] = morph["f2_1"] + plain_compose(nu, sdr.f)
+        morph["f2_1"] = morph["f2_1"] + tensor_compose([nu], sdr.f)
         hat["m2_1"] = hat["m2_1"] + nu - transpose_swap(nu)
         morph["f3_2"] = transfer_step(pkg, "f3_2")
 
@@ -93,9 +93,9 @@ def transfer_step(pkg: TransferPackage, name: str) -> GradedOperator:
     r = evaluate(d_phi, source=sdr.total, target=pkg.homology, arity=gen.arity,
                  degree=gen.degree - 1, chain_ops=pkg.source.ops,
                  module_ops=pkg.morphism_ops, homology_ops=hat)
-    hat[mu] = plain_compose(r, sdr.g).scale(-1)
-    r = r + plain_compose(hat[mu], sdr.f)
-    return plain_compose(r, sdr.h).scale(-1 if gen.degree % 2 else 1)
+    hat[mu] = tensor_compose([r], sdr.g).scale(-1)
+    r = r + tensor_compose([hat[mu]], sdr.f)
+    return tensor_compose([r], sdr.h).scale(-1 if gen.degree % 2 else 1)
 
 
 def verify_relations(pkg: TransferPackage) -> list[dict]:

@@ -5,7 +5,8 @@ rows in the ranked tensor basis, and unranks a block into word images when
 it is read.  ``bracket_d``, ``plain_compose``, ``tensor_compose`` and
 ``sigma_twist`` are the earlier implementations over those blocks, unchanged.
 ``tests/test_chains.py`` checks that ``einfty.chains`` gives the same blocks,
-entry for entry.
+entry for entry; ``plain_compose`` is the reference for the one-slot case of
+``einfty.chains.tensor_compose``, which has no separate ordinary composition.
 """
 from __future__ import annotations
 

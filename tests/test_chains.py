@@ -11,8 +11,8 @@ from models import fixture, grid_torus, tensor_complex
 
 from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
                            boundary_operator, compose_slot, identity_operator,
-                           plain_compose, sigma_twist, tensor_compose,
-                           transpose_swap, unit_complex)
+                           sigma_twist, tensor_compose, transpose_swap,
+                           unit_complex, zero_operator)
 from einfty.coalgebra import chain_structure, cup_table, reduce_structure
 from einfty.homology import homology
 from einfty.intlinalg import IntMatrix
@@ -209,6 +209,19 @@ def test_interchange_sign_for_two_substitutions():
         assert asc == (joint if sign == 1 else joint.scale(-1))
 
 
+def test_three_slot_signs_match_row_reference():
+    # a later slot pays the degrees of the inputs before it; dense operators,
+    # so that every pattern of odd inputs and odd slot operators occurs
+    c = normalized_chains(fixture("torus"))
+    rng = random.Random(5)
+    for degrees in product((0, 1), repeat=3):
+        b = _random_operator(rng, c, c, 3, 0)
+        ops = [_random_operator(rng, c, c, 1, e) for e in degrees]
+        refs = [oracle.GradedOperator(c, c, 1, op.degree, op.blocks) for op in ops]
+        _same(tensor_compose(ops, b),
+              oracle.tensor_compose(refs, oracle.GradedOperator(c, c, 3, 0, b.blocks)))
+
+
 def test_nested_composition_associativity():
     c = normalized_chains(fixture("torus"))
     rng = random.Random(3)
@@ -217,7 +230,7 @@ def test_nested_composition_associativity():
         b = _random_operator(rng, c, c, 1, rng.choice([0, 1]))
         cc = _random_operator(rng, c, c, 2, rng.choice([0, 1]))
         lhs = compose_slot(a, compose_slot(b, cc, 1), 1)
-        rhs = compose_slot(plain_compose(a, b), cc, 1)
+        rhs = compose_slot(tensor_compose([a], b), cc, 1)
         assert lhs == rhs
 
 
@@ -254,6 +267,11 @@ def test_counit_style_arity_zero_slot():
     ident = identity_operator(c)
     left = tensor_compose([p, ident], delta)
     assert left.arity == 1 and left.block(0)[0, 0] == 1
+    # with no slot to fill, the composition is p itself, on p's target
+    assert tensor_compose([], p) == p
+    assert tensor_compose([], p) + p == p.scale(2)
+    with pytest.raises(ValueError, match="slot 1 out of range for arity 0"):
+        compose_slot(zero_operator(u, u, 0, 0), p, 1)
 
 
 # -- the word-keyed algebra against the row-keyed reference --------------------
@@ -299,9 +317,10 @@ def test_bracket_and_twist_match_row_reference(name, arity, degree, data):
 @settings(max_examples=60, deadline=None)
 @given(_model, _arity, _degree, _degree, st.data())
 def test_plain_compose_matches_row_reference(name, arity, deg_a, deg_b, data):
+    # a o b is the one-slot case of the kernel
     a, ref_a = data.draw(_operator_pair(name, arity, deg_a))
     b, ref_b = data.draw(_operator_pair(name, 1, deg_b))
-    _same(plain_compose(a, b), oracle.plain_compose(ref_a, ref_b))
+    _same(tensor_compose([a], b), oracle.plain_compose(ref_a, ref_b))
 
 
 @settings(max_examples=60, deadline=None)

@@ -221,6 +221,19 @@ def test_module_run_matches_in_process_main(tmp_path, monkeypatch, argv, out, co
         assert (tmp_path / "report.json").read_bytes() == report != b""
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("argv", [("invariant", "torus"), ("transfer", "wedge3"),
+                                  ("cobar", "wedge2"), ("coalgebra", "rp2")], ids="-".join)
+def test_report_does_not_depend_on_the_hash_seed(argv, seed):
+    # the golden gate runs in one process; a fresh one under another string
+    # hash seed must print the same bytes
+    proc = subprocess.run([sys.executable, "-m", "einfty.cli", *argv], capture_output=True,
+                          env=dict(_src_env(), PYTHONHASHSEED=seed), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "golden" / f"{'-'.join(argv)}.txt"
+    assert proc.stdout == golden.read_bytes()
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "einfty.cli", "homology", "circle"],
                           capture_output=True, text=True, env=_src_env())

@@ -11,7 +11,7 @@ from models import FIXTURES, fan_surface, fixture, grid_torus, identity_sdr, rel
 
 from einfty import homology as homology_module
 from einfty import intlinalg
-from einfty.chains import ChainComplex, GradedOperator, plain_compose
+from einfty.chains import ChainComplex, GradedOperator, tensor_compose
 from einfty.errors import RelationViolation, TorsionPresent
 from einfty.homology import SDR, build_sdr, homology, sdr_variant
 from einfty.intlinalg import IntMatrix
@@ -175,7 +175,7 @@ def _plus(op, d, i, word):
 def _g_theta_f(sdr):
     """g theta f for the degree-1 map theta: h1_0 -> h2_0 of the retract."""
     theta = GradedOperator._adopt(sdr.retract, sdr.retract, 1, 1, {1: {0: {((2, 0),): 1}}})
-    return plain_compose(plain_compose(sdr.g, theta), sdr.f)
+    return tensor_compose([tensor_compose([sdr.g], theta)], sdr.f)
 
 
 # (relation, complex, corruption of its retraction); h h = 0 needs h in two

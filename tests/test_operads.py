@@ -25,6 +25,23 @@ def test_generator_table():
         generator("f3_1")
 
 
+@pytest.mark.parametrize("name, want", [
+    ("p", ("p", 0, 0, "operad")), ("u", ("u", 1, 0, "operad")),
+    ("f0", ("f0", 0, 0, "bimodule")), ("f1", ("f1", 1, 0, "bimodule")),
+    ("m2_0", ("m2_0", 2, 0, "operad")), ("m3_4", ("m3_4", 3, 4, "operad")),
+    ("f2_3", ("f2_3", 2, 3, "bimodule")), ("f3_2", ("f3_2", 3, 2, "bimodule")),
+    ("d4", ("d4", 4, 2, "operad")), ("d2", ("m2_0", 2, 0, "operad")),
+    ("d3", ("m3_1", 3, 1, "operad")),
+    ("m3_0", None), ("f2_0", None), ("f3_1", None), ("d1", None), ("x", None)])
+def test_generator_names(name, want):
+    if want is None:
+        with pytest.raises(OutsideFragment):
+            generator(name)
+    else:
+        g = generator(name)
+        assert (g.name, g.arity, g.degree, g.kind) == want
+
+
 def test_unit_axioms():
     for name in ("m2_0", "m2_2", "m3_1", "f2_1"):
         x = single(name)

@@ -13,7 +13,7 @@ from structure_compare import compare_structures
 from transfer_oracle import transfer as oracle_transfer
 
 from einfty import invariants
-from einfty.chains import GradedOperator, plain_compose, pruned, transpose_swap, violation
+from einfty.chains import GradedOperator, pruned, tensor_compose, transpose_swap, violation
 from einfty.coalgebra import chain_structure
 from einfty.errors import ShapeMismatch, TorsionPresent
 from einfty.homology import build_sdr, sdr_variant
@@ -311,7 +311,7 @@ def _shifted(name, nu, compensate=True, reclose=True):
     nu and the f3_2 step run again, each of the last two optional."""
     pkg = _transferred(name)
     pkg = TransferPackage(pkg.source, pkg.sdr, dict(pkg.hat_ops), dict(pkg.morphism_ops))
-    pkg.morphism_ops["f2_1"] = pkg.morphism_ops["f2_1"] + plain_compose(nu, pkg.sdr.f)
+    pkg.morphism_ops["f2_1"] = pkg.morphism_ops["f2_1"] + tensor_compose([nu], pkg.sdr.f)
     if compensate:
         pkg.hat_ops["m2_1"] = pkg.hat_ops["m2_1"] + nu - transpose_swap(nu)
     if reclose:

@@ -19,8 +19,7 @@ hat and morphism operators, the same correction and the same errors.
 from __future__ import annotations
 
 from einfty import invariants
-from einfty.chains import (GradedOperator, compose_slot, plain_compose, tensor_compose,
-                           transpose_swap, violation)
+from einfty.chains import GradedOperator, compose_slot, tensor_compose, transpose_swap, violation
 from einfty.coalgebra import CoalgebraStructure
 from einfty.errors import ShapeMismatch
 from einfty.homology import SDR
@@ -38,24 +37,23 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
     ff = lambda op: tensor_compose([f, f], op)  # noqa: E731
 
     for k in range(0, 3):
-        hat[f"m2_{k}"] = plain_compose(ff(delta[k]), g)
+        hat[f"m2_{k}"] = tensor_compose([ff(delta[k])], g)
     for k in range(0, 2):
-        qk = plain_compose(hat[f"m2_{k}"], f) - ff(delta[k])
+        qk = tensor_compose([hat[f"m2_{k}"]], f) - ff(delta[k])
         if k >= 1:
             f2k = morph[f"f2_{k}"]
             sym = f2k + transpose_swap(f2k).scale(-1 if k % 2 else 1)
             qk = qk - sym
         sgn = -1 if (k + 1) % 2 else 1
-        morph[f"f2_{k + 1}"] = plain_compose(qk, h).scale(sgn)
+        morph[f"f2_{k + 1}"] = tensor_compose([qk], h).scale(sgn)
 
     def close_arity3(hat_ops, morph_ops):
         f21 = morph_ops["f2_1"]
         m0 = hat_ops["m2_0"]
         p_op = compose_slot(m0, f21, 2) - compose_slot(m0, f21, 1) \
             - tensor_compose([f21, f], delta[0]) + tensor_compose([f, f21], delta[0])
-        hat_ops["m3_1"] = plain_compose(p_op, g).scale(-1)
-        morph_ops["f3_2"] = plain_compose(
-            plain_compose(hat_ops["m3_1"], f) + p_op, h)
+        hat_ops["m3_1"] = tensor_compose([p_op], g).scale(-1)
+        morph_ops["f3_2"] = tensor_compose([tensor_compose([hat_ops["m3_1"]], f) + p_op], h)
 
     close_arity3(hat, morph)
     pkg = TransferPackage(source, sdr, hat, morph)
@@ -65,7 +63,7 @@ def transfer(source: CoalgebraStructure, sdr: SDR) -> TransferPackage:
         # Shift the binary morphism component by nu o f and compensate the
         # degree-1 coproduct by nu - sigma nu; every relation survives, and
         # the triple window moves into the bracket lattice.
-        morph["f2_1"] = morph["f2_1"] + plain_compose(nu, f)
+        morph["f2_1"] = morph["f2_1"] + tensor_compose([nu], f)
         hat["m2_1"] = hat["m2_1"] + nu - transpose_swap(nu)
         close_arity3(hat, morph)
 
