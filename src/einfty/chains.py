@@ -18,10 +18,10 @@ differential is applied word by word to the nonzero entries only.  The
 columns hold no zeros and no empty column or degree, so equality of
 operators is plain dict equality.
 
-``tensor_compose`` is the one composition of operators: (op_1 (x) ...
-(x) op_n) o b, with ``compose_slot`` filling the other slots with
-identities.  An ordinary composition a o b is its one-slot case
-``tensor_compose([a], b)``.
+Two kernels build operators.  ``tensor_compose`` is the one composition,
+(op_1 (x) ... (x) op_n) o b; a slot given as None is an identity, whose
+factor passes through unread, and a o b is ``tensor_compose([a], b)``.
+``combination`` forms every signed sum, + and - and ``sigma_twist`` too.
 
 Rows appear only at the linear-algebra boundary.  The words of one total
 degree, ordered lexicographically, are the rows of the induced tensor
@@ -280,21 +280,10 @@ class GradedOperator:
         raise TypeError("GradedOperator is not hashable")
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        if not self.same_shape(other):
-            raise ValueError("operator shape mismatch in +")
-        acc: Columns = {}
-        for cols in (self.cols, other.cols):
-            for d, block in cols.items():
-                dst = acc.setdefault(d, {})
-                for i, col in block.items():
-                    out = dst.setdefault(i, {})
-                    for w, v in col.items():
-                        out[w] = out.get(w, 0) + v
-        return GradedOperator._adopt(self.source, self.target, self.arity, self.degree,
-                                     pruned(acc))
+        return combination([(1, None, self), (1, None, other)])
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self + (-other)
+        return combination([(1, None, self), (-1, None, other)])
 
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
@@ -359,11 +348,12 @@ def _head_images(slots, head: TensorKey, odd_last: int) -> list[tuple[int, Tenso
     """The images of the factors ``head`` under the first len(head) slots,
     as (sign, word) pairs: each slot operator pays the Koszul sign of the
     inputs before it, the last slot's included.  Empty when a factor of
-    ``head`` has no image."""
+    ``head`` has no image.  An identity slot (cols None) passes its factor
+    through, and the factor's degree still counts for the later slots."""
     images = [(1, ())]
     running = 0
     for (cols, odd), (e, j) in zip(slots, head):
-        piece = cols.get(e, {}).get(j)
+        piece = {((e, j),): 1} if cols is None else cols.get(e, {}).get(j)
         if not piece:
             return []
         flip = -1 if odd and running & 1 else 1
@@ -374,44 +364,46 @@ def _head_images(slots, head: TensorKey, odd_last: int) -> list[tuple[int, Tenso
     return images
 
 
-def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOperator:
+def tensor_compose(ops: Sequence[GradedOperator | None], b: GradedOperator) -> GradedOperator:
     """(op_1 (x) ... (x) op_n) o b with the Koszul sign convention.
 
     All ops must share b.target as source and must share a common target
-    complex; arbitrary arities (including 0) are allowed per slot.  It is
-    the one composition of operators: ``tensor_compose([a], b)`` is a o b,
-    and with no slot to fill (b of arity 0) the result is b itself.
+    complex; arbitrary arities (including 0) are allowed per slot.  A slot
+    given as None is the identity of b.target: its factor passes through.
+    It is the one composition of operators: ``tensor_compose([a], b)`` is
+    a o b, and with no slot to fill (b of arity 0, or identities only) the
+    result is b itself.
     """
     n = b.arity
     if len(ops) != n:
         raise ValueError(f"need {n} slot operators, got {len(ops)}")
-    if not ops:
+    given = [op for op in ops if op is not None]
+    if not given:
         return b
-    for op in ops:
-        if op.source is not b.target:
-            raise ValueError("slot operator source must equal inner target")
-    tgt = None
-    for op in ops:
-        if op.arity > 0:
-            if tgt is None:
-                tgt = op.target
-            elif op.target is not tgt:
-                raise ValueError("slot operators must share one target complex")
-    if tgt is None:
-        # all slots have arity 0: a functional into the ground ring
-        tgt = ops[0].target
-    out_arity = sum(op.arity for op in ops)
-    out_degree = b.degree + sum(op.degree for op in ops)
-    slots = [(op.cols, op.degree & 1) for op in ops]
+    if any(op.source is not b.target for op in given):
+        raise ValueError("slot operator source must equal inner target")
+    # an identity slot maps into b.target; slots of arity 0 alone make a
+    # functional into the ground ring
+    targets = {op.target for op in given if op.arity}
+    if len(given) < n:
+        targets.add(b.target)
+    if len(targets) > 1:
+        raise ValueError("slot operators must share one target complex")
+    tgt = targets.pop() if targets else given[0].target
+    out_arity = n - len(given) + sum(op.arity for op in given)
+    out_degree = b.degree + sum(op.degree for op in given)
+    slots = [(None, 0) if op is None else (op.cols, op.degree & 1) for op in ops]
     last_cols, odd_last = slots[-1]
     # the total degrees that words with a nonzero image in every slot can have
     reach = {0}
     for op in ops:
-        reach = {r + e for r in reach for e in op.cols}
+        reach = {r + e for r in reach for e in (b.target.basis if op is None else op.cols)}
     # a word is its head (all factors but the last) and its last factor, whose
-    # images go straight into the column; heads recur across the words of b
-    # (with one slot every head is ()), so each head's images are found once
+    # images go straight into the column; heads recur across the words of b,
+    # so each head's images are found once, and with one slot (every head is
+    # ()) once per call
     heads: dict[TensorKey, list[tuple[int, TensorKey]]] = {}
+    one = _head_images(slots, (), odd_last) if n == 1 else None
     acc: Columns = {}
     for d, block in b.cols.items():
         if d + b.degree not in reach:
@@ -421,11 +413,10 @@ def tensor_compose(ops: Sequence[GradedOperator], b: GradedOperator) -> GradedOp
             out = dst.setdefault(i, {})
             for word, coeff in col.items():
                 e, j = word[-1]
-                last = last_cols.get(e, {}).get(j)
+                last = {word[-1:]: 1} if last_cols is None else last_cols.get(e, {}).get(j)
                 if not last:
                     continue
-                head = word[:-1]
-                images = heads.get(head)
+                images = one or heads.get(head := word[:-1])
                 if images is None:
                     images = heads[head] = _head_images(slots, head, odd_last)
                 for sign, w in images:
@@ -440,9 +431,43 @@ def compose_slot(a: GradedOperator, b: GradedOperator, i: int) -> GradedOperator
     """Substitute ``a`` into tensor slot ``i`` (1-based) of b's target."""
     if not 1 <= i <= b.arity:
         raise ValueError(f"slot {i} out of range for arity {b.arity}")
-    ops = [identity_operator(b.target)] * b.arity
+    ops: list[GradedOperator | None] = [None] * b.arity
     ops[i - 1] = a
     return tensor_compose(ops, b)
+
+
+def combination(terms: Sequence[tuple[int, Sequence[int] | None, GradedOperator]]
+                ) -> GradedOperator:
+    """The signed sum of c * sigma(op) over (c, perm, op) triples.
+
+    Every op has the first one's shape, and ``perm`` acts as in
+    ``sigma_twist`` (None for the identity).  It is the one sum of
+    operators: the terms go into one column dict, pruned once.
+    """
+    first = terms[0][2]
+    acc: Columns = {}
+    for c, perm, op in terms:
+        if not op.same_shape(first):
+            raise ValueError("operator shape mismatch in +")
+        if perm is not None:
+            if len(perm) != op.arity:
+                raise ValueError("permutation length must match arity")
+            if all(p == q for q, p in enumerate(perm)):
+                perm = None
+            else:
+                # the factor that lands at position q came from position inv[q]
+                inv = sorted(range(op.arity), key=perm.__getitem__)
+        for d, block in op.cols.items():
+            dst = acc.setdefault(d, {})
+            for i, col in block.items():
+                out = dst.setdefault(i, {})
+                for w, v in col.items():
+                    if perm is not None:
+                        v *= perm_sign(perm, [e for e, _ in w])
+                        w = tuple([w[p] for p in inv])
+                    out[w] = out.get(w, 0) + c * v
+    return GradedOperator._adopt(first.source, first.target, first.arity, first.degree,
+                                 pruned(acc))
 
 
 def sigma_twist(perm: Sequence[int], f: GradedOperator) -> GradedOperator:
@@ -450,21 +475,7 @@ def sigma_twist(perm: Sequence[int], f: GradedOperator) -> GradedOperator:
 
     ``perm[p]`` is the destination position (0-based) of factor p.
     """
-    if len(perm) != f.arity:
-        raise ValueError("permutation length must match arity")
-    if all(p == q for q, p in enumerate(perm)):
-        return f
-    cols: Columns = {}
-    for d, block in f.cols.items():
-        dst = cols[d] = {}
-        for i, col in block.items():
-            out = dst[i] = {}
-            for word, v in col.items():
-                new = [None] * f.arity
-                for p, fac in enumerate(word):
-                    new[perm[p]] = fac
-                out[tuple(new)] = perm_sign(perm, [e for e, _ in word]) * v
-    return GradedOperator._adopt(f.source, f.target, f.arity, f.degree, cols)
+    return combination([(1, perm, f)])
 
 
 def transpose_swap(f: GradedOperator) -> GradedOperator:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .chains import (ChainComplex, Columns, GradedOperator, bracket_d, expansion,
-                     failures, identity_operator, pruned, sigma_twist, tensor_compose,
+from .chains import (ChainComplex, Columns, GradedOperator, bracket_d, combination,
+                     expansion, failures, identity_operator, pruned, tensor_compose,
                      unit_complex, violation, zero_operator)
 from .errors import MultipleVertices
 from .operads import generator, generator_differential
@@ -139,28 +139,26 @@ def evaluate(elem, *, source: ChainComplex, target: ChainComplex, arity: int,
             raise KeyError(f"no operator assigned to generator {name}")
         return table[name]
 
-    def eval_tree(tree, crossed: bool) -> GradedOperator:
+    def eval_tree(tree, crossed: bool) -> GradedOperator | None:
         if tree is None:
-            return identity_operator(target if crossed else source)
+            return None  # a leaf is an identity slot of the vertex above it
         name, children = tree
         vop = pick(name, crossed)
-        if all(child is None for child in children):
-            return vop  # (id (x) ... (x) id) o vop = vop
         crossed2 = crossed or generator(name).kind == "bimodule"
-        child_ops = [eval_tree(child, crossed2) for child in children]
-        return tensor_compose(child_ops, vop)
+        return tensor_compose([eval_tree(child, crossed2) for child in children], vop)
 
-    total = zero_operator(source, target, arity, degree)
+    # the zero operator fixes the shape of the sum, and is the sum of no monomial
+    terms = [(1, None, zero_operator(source, target, arity, degree))]
     for (tree, labels), coeff in elem.items():
+        if tree is None:
+            raise ValueError("the unit element is not a composition of generators")
         op = eval_tree(tree, False)
         if op.arity != arity or op.degree != degree:
             raise ValueError(
                 f"element realizes as arity {op.arity} degree {op.degree}, "
                 f"expected ({arity}, {degree})")
-        perm = tuple(l - 1 for l in labels)
-        op = sigma_twist(perm, op)
-        total = total + op.scale(coeff)
-    return total
+        terms.append((coeff, tuple(l - 1 for l in labels), op))
+    return combination(terms)
 
 
 def bracket_checks(ops: dict[str, GradedOperator], label: str, **realize):
@@ -204,8 +202,8 @@ class CoalgebraStructure:
             delta0, p = self.ops["m2_0"], self.ops["p"]
             ident = identity_operator(self.complex)
             checks = chain(checks, [
-                ("(p (x) id) m2_0 = id", tensor_compose([p, ident], delta0), ident),
-                ("(id (x) p) m2_0 = id", tensor_compose([ident, p], delta0), ident)])
+                ("(p (x) id) m2_0 = id", tensor_compose([p, None], delta0), ident),
+                ("(id (x) p) m2_0 = id", tensor_compose([None, p], delta0), ident)])
         return failures(checks)
 
 

@@ -201,14 +201,19 @@ def zero() -> Element:
     return {}
 
 
+def _add_term(out: Element, mono: Monomial, c: int) -> None:
+    """out += c * mono, dropping the monomial when its coefficient cancels."""
+    w = out.get(mono, 0) + c
+    if w:
+        out[mono] = w
+    else:
+        out.pop(mono, None)
+
+
 def el_add(a: Element, b: Element) -> Element:
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
+        _add_term(out, k, v)
     return out
 
 
@@ -252,25 +257,14 @@ def compose_i(x: Element, y: Element, i: int) -> Element:
     """x o_i y: substitute x into input slot i of the outer element y.
 
     Bimodule-into-operad substitutions pad the remaining slots of y with f1.
+    An element's monomials are all of one kind, operad or bimodule.
     """
-    out: Element = {}
-    for (ty, ly), cy in y.items():
-        for (tx, lx), cx in x.items():
-            kx, ky = tree_kind(tx), tree_kind(ty)
-            if kx == "bimodule" and ky == "bimodule":
-                raise ValueError("cannot compose two bimodule elements")
-            ym: Monomial = (ty, ly)
-            if kx == "bimodule" and ky == "operad" and ty is not None:
-                q0 = ly.index(i)
-                ym = (_pad_other_leaves(ty, q0), ly)
-            mono, sign = _compose_mono((tx, lx), ym, i)
-            c = sign * cx * cy
-            w = out.get(mono, 0) + c
-            if w:
-                out[mono] = w
-            else:
-                out.pop(mono, None)
-    return out
+    if any(tree_kind(tx) == "bimodule" for tx, _ in x):
+        if any(tree_kind(ty) == "bimodule" for ty, _ in y):
+            raise ValueError("cannot compose two bimodule elements")
+        y = {(ty if ty is None else _pad_other_leaves(ty, ly.index(i)), ly): cy
+             for (ty, ly), cy in y.items()}
+    return _raw_compose_elements(x, y, i)
 
 
 def multi_compose(inner: list[Element], outer: Element) -> Element:
@@ -468,12 +462,7 @@ def _raw_compose_elements(x: Element, y: Element, i: int) -> Element:
     for ym, cy in y.items():
         for xm, cx in x.items():
             mono, sign = _compose_mono(xm, ym, i)
-            c = sign * cx * cy
-            w = out.get(mono, 0) + c
-            if w:
-                out[mono] = w
-            else:
-                out.pop(mono, None)
+            _add_term(out, mono, sign * cx * cy)
     return out
 
 
@@ -482,14 +471,8 @@ def differential(x: Element) -> Element:
     out: Element = {}
     for (tree, labels), c in x.items():
         base = _diff_tree(tree)
-        n = len(labels)
         for (t2, l2), c2 in base.items():
-            mono = (t2, tuple(labels[l - 1] for l in l2))
-            w = out.get(mono, 0) + c * c2
-            if w:
-                out[mono] = w
-            else:
-                out.pop(mono, None)
+            _add_term(out, (t2, tuple(labels[l - 1] for l in l2)), c * c2)
     return out
 
 

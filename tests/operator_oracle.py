@@ -6,7 +6,9 @@ it is read.  ``bracket_d``, ``plain_compose``, ``tensor_compose`` and
 ``sigma_twist`` are the earlier implementations over those blocks, unchanged.
 ``tests/test_chains.py`` checks that ``einfty.chains`` gives the same blocks,
 entry for entry; ``plain_compose`` is the reference for the one-slot case of
-``einfty.chains.tensor_compose``, which has no separate ordinary composition.
+``einfty.chains.tensor_compose``, which has no separate ordinary composition,
+and ``combination`` (twists, then block-wise ``IntMatrix`` scale and +) the
+reference for ``einfty.chains.combination``.
 """
 from __future__ import annotations
 
@@ -183,3 +185,15 @@ def sigma_twist(perm: Sequence[int], f: GradedOperator) -> GradedOperator:
         if not out.is_zero():
             blocks[d] = out
     return GradedOperator(f.source, f.target, f.arity, f.degree, blocks)
+
+
+def combination(terms) -> GradedOperator:
+    """The sum of c * sigma_twist(perm, op) over (c, perm, op) triples of one
+    shape, ``perm`` None for the identity."""
+    first = terms[0][2]
+    blocks: dict[int, IntMatrix] = {}
+    for c, perm, op in terms:
+        twisted = op if perm is None else sigma_twist(perm, op)
+        for d, mat in twisted.blocks.items():
+            blocks[d] = blocks[d] + mat.scale(c) if d in blocks else mat.scale(c)
+    return GradedOperator(first.source, first.target, first.arity, first.degree, blocks)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from models import fixture, grid_torus, tensor_complex
 
 from einfty.chains import (ChainComplex, GradedOperator, bracket_d,
-                           boundary_operator, compose_slot, identity_operator,
-                           sigma_twist, tensor_compose, transpose_swap,
-                           unit_complex, zero_operator)
+                           boundary_operator, combination, compose_slot,
+                           identity_operator, sigma_twist, tensor_compose,
+                           transpose_swap, unit_complex, zero_operator)
 from einfty.coalgebra import chain_structure, cup_table, reduce_structure
 from einfty.homology import homology
 from einfty.intlinalg import IntMatrix
@@ -331,6 +331,42 @@ def test_tensor_compose_matches_row_reference(name, arity, degree, data):
              for _ in range(arity)]
     got = tensor_compose([op for op, _ in pairs], b)
     _same(got, oracle.tensor_compose([ref for _, ref in pairs], ref_b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model, _arity, _degree, st.data())
+def test_combination_matches_row_reference(name, arity, degree, data):
+    terms = [(data.draw(st.integers(-3, 3)),
+              data.draw(st.none() | st.permutations(range(arity))),
+              data.draw(_operator_pair(name, arity, degree)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    got = combination([(coeff, perm, op) for coeff, perm, (op, _) in terms])
+    _same(got, oracle.combination([(coeff, perm, ref) for coeff, perm, (_, ref) in terms]))
+
+
+def test_combination_rejects_mixed_shapes():
+    c = _chains("torus")
+    f = zero_operator(c, c, 2, 1)
+    with pytest.raises(ValueError, match=r"operator shape mismatch in \+"):
+        combination([(1, None, f), (1, None, zero_operator(c, c, 2, 0))])
+    with pytest.raises(ValueError, match="permutation length must match arity"):
+        combination([(1, (0, 1, 2), f)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2),
+       st.integers(0, 2 ** 16))
+def test_identity_slots_pass_factors_through(identity_at, deg_b, seed):
+    # an identity slot (None) copies its factor, whose degree still signs the
+    # odd slot operators after it: dense operators, so that every such
+    # pattern occurs, against the same slots as explicit identity operators
+    c = _chains("torus")
+    rng = random.Random(seed)
+    b = _random_operator(rng, c, c, 3, deg_b)
+    ops = [None if ident else _random_operator(rng, c, c, rng.randint(1, 2), 1)
+           for ident in identity_at]
+    explicit = [identity_operator(c) if op is None else op for op in ops]
+    assert tensor_compose(ops, b) == tensor_compose(explicit, b)
 
 
 def test_structure_and_reduction_rank_no_words(monkeypatch):

@@ -3,6 +3,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import operator_oracle as oracle
 import pytest
 from models import FIXTURES, fixture, front_back_faces, index_of
 
@@ -13,8 +14,10 @@ from einfty.coalgebra import (CoalgebraStructure, aw_diagonal, chain_structure,
                               counit, cup_k_coproduct, cup_table, evaluate,
                               operator_dump, reduce_structure)
 from einfty.errors import MultipleVertices, RelationViolation
-from einfty.operads import generator_differential
+from einfty.homology import build_sdr
+from einfty.operads import generator, generator_differential, identity_labels
 from einfty.simplicial import FaceRef, SimplicialSet, normalized_chains, standard_simplex
+from einfty.transfer import transfer
 
 
 def test_counit_values():
@@ -186,11 +189,46 @@ def test_evaluate_bracket_matches_table():
     s = chain_structure(fixture("torus"), 3)
     c = s.complex
     for name in ("m2_1", "m2_2", "m3_1"):
-        from einfty.operads import generator
         g = generator(name)
         want = evaluate(generator_differential(name), source=c, target=c,
                         arity=g.arity, degree=g.degree - 1, chain_ops=s.ops)
         assert bracket_d(s.op(name)) == want
+
+
+def _realized_termwise(elem, **realize):
+    """``elem`` realized one monomial at a time, each with identity labels
+    through ``evaluate``, then twisted, scaled and summed by the row-keyed
+    reference."""
+    terms = []
+    for (tree, labels), coeff in elem.items():
+        op = evaluate({(tree, identity_labels(len(labels))): 1}, **realize)
+        ref = oracle.GradedOperator(op.source, op.target, op.arity, op.degree, op.blocks)
+        terms.append((coeff, [l - 1 for l in labels], ref))
+    return oracle.combination(terms).blocks
+
+
+def test_evaluate_realizes_long_differentials():
+    # d(m3_2): 8 monomials under 5 permutations, which verify never realizes;
+    # d(f3_2) crosses the bimodule vertex into the homology operators
+    d_m32 = generator_differential("m3_2")
+    assert len(d_m32) == 8 and len({labels for _, labels in d_m32}) == 5
+    for x, words in ((standard_simplex(3), 192), (fixture("torus"), None)):
+        s = chain_structure(x, 3)
+        realize = dict(source=s.complex, target=s.complex, arity=3, degree=1,
+                       chain_ops=s.ops)
+        got = evaluate(d_m32, **realize)
+        assert got.blocks == _realized_termwise(d_m32, **realize)
+        if words:
+            assert sum(len(col) for block in got.cols.values() for col in block.values()) \
+                == words
+    s = chain_structure(fixture("torus"), 3)
+    pkg = transfer(s, build_sdr(s.complex))
+    realize = dict(source=s.complex, target=pkg.homology, arity=3, degree=1,
+                   chain_ops=s.ops, module_ops=pkg.morphism_ops, homology_ops=pkg.hat_ops)
+    d_f32 = generator_differential("f3_2")
+    got = evaluate(d_f32, **realize)
+    assert not got.is_zero()
+    assert got.blocks == _realized_termwise(d_f32, **realize)
 
 
 def test_sphere_and_rp2_degenerate_faces_handled():
